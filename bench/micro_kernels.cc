@@ -119,17 +119,25 @@ BENCHMARK(BM_ColumnReorderPixelMajor);
 void
 BM_LshSignatures(benchmark::State &state)
 {
+    // Args: hash count H, item stride. Stride 25 hashes packed 25-float
+    // items; stride 1600 hashes one 25-column vertical slice in place
+    // in a 1600-wide im2col matrix, as the vertical reuse kernel does.
     const size_t h = static_cast<size_t>(state.range(0));
+    const size_t stride = static_cast<size_t>(state.range(1));
     Rng rng(4);
-    Tensor x = redundantMatrix(1024, 25, 16, 5);
+    Tensor x = redundantMatrix(1024, stride, 16, 5);
     HashFamily family = HashFamily::random(h, 25, rng);
-    StridedItems items{x.data(), 1024, 25, 25, 1};
+    StridedItems items{x.data(), 1024, 25, stride, 1};
     for (auto _ : state) {
         auto sigs = family.signatures(items);
         benchmark::DoNotOptimize(sigs.data());
     }
 }
-BENCHMARK(BM_LshSignatures)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_LshSignatures)
+    ->Args({2, 25})
+    ->Args({4, 25})
+    ->Args({8, 25})
+    ->Args({4, 1600});
 
 void
 BM_ClusterBySignature(benchmark::State &state)

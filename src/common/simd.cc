@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <string>
 
@@ -135,9 +136,18 @@ signProjectScalar(const float *proj, const float *biases, size_t count,
     }
 }
 
+bool
+allFiniteScalar(const float *p, size_t n)
+{
+    for (size_t i = 0; i < n; ++i)
+        if (!std::isfinite(p[i]))
+            return false;
+    return true;
+}
+
 constexpr Ops kScalarOps = {
-    "scalar",          Level::Scalar,     gemmF32Scalar, gemmInt8Scalar,
-    addIntoScalar,     scaleInPlaceScalar, signProjectScalar,
+    "scalar",          Level::Scalar,      gemmF32Scalar,     gemmInt8Scalar,
+    addIntoScalar,     scaleInPlaceScalar, signProjectScalar, allFiniteScalar,
 };
 
 std::atomic<const Ops *> g_active{nullptr};

@@ -2,7 +2,7 @@
  * @file
  * Runtime SIMD kernel dispatch, after TFLite-Micro's replaceable-kernel
  * design: every hot inner loop (f32 GEMM, raw int8 GEMM, the LSH sign
- * pass, elementwise add/scale) is reached through a per-process ops
+ * pass, elementwise add/scale, the non-finite scan) is reached through a per-process ops
  * table selected once at startup from CPU capabilities, overridable
  * with `GENREUSE_SIMD=scalar|avx2|neon`.
  *
@@ -62,6 +62,9 @@ struct Ops
      *  sigs[i] bit f = (proj[i*h + f] + biases[f] > 0). */
     void (*signProject)(const float *proj, const float *biases, size_t count,
                         size_t h, uint64_t *sigs);
+
+    /** True when no p[i], i in [0, n), is NaN or +/-Inf. */
+    bool (*allFinite)(const float *p, size_t n);
 };
 
 /** True when @p level is compiled in AND supported by this CPU. */

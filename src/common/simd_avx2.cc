@@ -11,6 +11,18 @@
  * element sees the same IEEE-754 sequence the scalar 1x8 tile
  * produces. The wider 1x32 tile only changes which *columns* advance
  * together, never the per-column order.
+ *
+ * Column remainders (the last n % 8 columns, which is every column
+ * when n < 8, e.g. the H-column LSH sign projection) go through a 4x8
+ * masked tile instead of the scalar kernel's one-column loop. Each
+ * lane is one output element and runs the scalar remainder's exact
+ * sequence — acc = 0, then acc += a[i][p] * b[p][j] for p ascending,
+ * then c[i][j] += acc — so the result is still bit-identical. The
+ * tile only advances four rows and several columns at once, which
+ * breaks the scalar loop's single serial add chain. B is read with
+ * masked loads (lanes past n read as zero and are never stored), and
+ * each row's partial sums are added into C one scalar column at a
+ * time, so nothing past column n is written.
  */
 
 #include "simd.h"
@@ -20,6 +32,8 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 namespace genreuse::simd {
 
@@ -29,16 +43,91 @@ constexpr size_t kBlockM = 64;
 constexpr size_t kBlockN = 256;
 constexpr size_t kBlockK = 256;
 
+/** Lane mask selecting the first @p w (1..7) of eight floats. */
+__m256i
+firstLanes(size_t w)
+{
+    alignas(32) static const int32_t kTable[16] = {-1, -1, -1, -1, -1, -1,
+                                                   -1, -1, 0,  0,  0,  0,
+                                                   0,  0,  0,  0};
+    return _mm256_loadu_si256(
+        reinterpret_cast<const __m256i *>(kTable + 8 - w));
+}
+
+/**
+ * c[j] += lane j of @p acc for j < @p w, one scalar add per element
+ * (the same IEEE-754 add a lane would do), so no byte past column w is
+ * read or written even when rows are closer than eight floats apart.
+ */
+inline void
+addLanes(float *c, __m256 acc, size_t w)
+{
+    alignas(32) float lanes[8];
+    _mm256_store_ps(lanes, acc);
+    for (size_t j = 0; j < w; ++j)
+        c[j] += lanes[j];
+}
+
+/**
+ * The last @p w (< 8) columns of a row panel, four rows at a time: one
+ * masked B load feeds four independent accumulators (see the file
+ * comment for why this is bit-identical to the scalar remainder).
+ */
+void
+narrowTileAvx2(const float *a, const float *b, float *c, size_t rows,
+               size_t w, size_t kc, size_t lda, size_t ldb, size_t ldc)
+{
+    const __m256i mask = firstLanes(w);
+    size_t i = 0;
+    for (; i + 4 <= rows; i += 4) {
+        const float *a0 = a + i * lda;
+        const float *a1 = a0 + lda;
+        const float *a2 = a1 + lda;
+        const float *a3 = a2 + lda;
+        __m256 acc0 = _mm256_setzero_ps();
+        __m256 acc1 = _mm256_setzero_ps();
+        __m256 acc2 = _mm256_setzero_ps();
+        __m256 acc3 = _mm256_setzero_ps();
+        for (size_t p = 0; p < kc; ++p) {
+            const __m256 bv = _mm256_maskload_ps(b + p * ldb, mask);
+            acc0 = _mm256_add_ps(
+                acc0, _mm256_mul_ps(_mm256_broadcast_ss(a0 + p), bv));
+            acc1 = _mm256_add_ps(
+                acc1, _mm256_mul_ps(_mm256_broadcast_ss(a1 + p), bv));
+            acc2 = _mm256_add_ps(
+                acc2, _mm256_mul_ps(_mm256_broadcast_ss(a2 + p), bv));
+            acc3 = _mm256_add_ps(
+                acc3, _mm256_mul_ps(_mm256_broadcast_ss(a3 + p), bv));
+        }
+        float *ci = c + i * ldc;
+        addLanes(ci, acc0, w);
+        addLanes(ci + ldc, acc1, w);
+        addLanes(ci + 2 * ldc, acc2, w);
+        addLanes(ci + 3 * ldc, acc3, w);
+    }
+    for (; i < rows; ++i) {
+        const float *ai = a + i * lda;
+        __m256 acc = _mm256_setzero_ps();
+        for (size_t p = 0; p < kc; ++p) {
+            acc = _mm256_add_ps(
+                acc, _mm256_mul_ps(_mm256_broadcast_ss(ai + p),
+                                   _mm256_maskload_ps(b + p * ldb, mask)));
+        }
+        addLanes(c + i * ldc, acc, w);
+    }
+}
+
 void
 microKernelAvx2(const float *a, const float *b, float *c, size_t rows,
                 size_t cols, size_t kc, size_t lda, size_t ldb, size_t ldc)
 {
+    const size_t full = cols - cols % 8;
     for (size_t i = 0; i < rows; ++i) {
         const float *ai = a + i * lda;
         float *ci = c + i * ldc;
         size_t j = 0;
         // 1x32 tile: four ymm accumulators amortize the broadcast.
-        for (; j + 32 <= cols; j += 32) {
+        for (; j + 32 <= full; j += 32) {
             __m256 acc0 = _mm256_setzero_ps();
             __m256 acc1 = _mm256_setzero_ps();
             __m256 acc2 = _mm256_setzero_ps();
@@ -66,7 +155,7 @@ microKernelAvx2(const float *a, const float *b, float *c, size_t rows,
             _mm256_storeu_ps(cj + 24,
                              _mm256_add_ps(_mm256_loadu_ps(cj + 24), acc3));
         }
-        for (; j + 8 <= cols; j += 8) {
+        for (; j < full; j += 8) {
             __m256 acc = _mm256_setzero_ps();
             const float *bj = b + j;
             for (size_t p = 0; p < kc; ++p) {
@@ -77,13 +166,10 @@ microKernelAvx2(const float *a, const float *b, float *c, size_t rows,
             float *cj = ci + j;
             _mm256_storeu_ps(cj, _mm256_add_ps(_mm256_loadu_ps(cj), acc));
         }
-        for (; j < cols; ++j) {
-            float acc = 0;
-            for (size_t p = 0; p < kc; ++p)
-                acc += ai[p] * b[p * ldb + j];
-            ci[j] += acc;
-        }
     }
+    if (full < cols)
+        narrowTileAvx2(a, b + full, c + full, rows, cols - full, kc, lda,
+                       ldb, ldc);
 }
 
 void
@@ -187,11 +273,20 @@ signProjectAvx2(const float *proj, const float *biases, size_t count,
                 size_t h, uint64_t *sigs)
 {
     const __m256 zero = _mm256_setzero_ps();
+    const size_t full = h - h % 8;
+    // The last h % 8 functions (all of them when h < 8) use masked
+    // loads; masked lanes read 0, and 0 + 0 > 0 is false, so they
+    // contribute no bits.
+    __m256i tail_mask = _mm256_setzero_si256();
+    __m256 tail_bias = zero;
+    if (full < h) {
+        tail_mask = firstLanes(h - full);
+        tail_bias = _mm256_maskload_ps(biases + full, tail_mask);
+    }
     for (size_t i = 0; i < count; ++i) {
         const float *pi = proj + i * h;
         uint64_t sig = 0;
-        size_t f = 0;
-        for (; f + 8 <= h; f += 8) {
+        for (size_t f = 0; f < full; f += 8) {
             __m256 sum = _mm256_add_ps(_mm256_loadu_ps(pi + f),
                                        _mm256_loadu_ps(biases + f));
             __m256 gt = _mm256_cmp_ps(sum, zero, _CMP_GT_OQ);
@@ -199,17 +294,51 @@ signProjectAvx2(const float *proj, const float *biases, size_t count,
                 static_cast<uint64_t>(_mm256_movemask_ps(gt)) & 0xffu;
             sig |= mask << f;
         }
-        for (; f < h; ++f) {
-            if (pi[f] + biases[f] > 0.0f)
-                sig |= uint64_t{1} << f;
+        if (full < h) {
+            __m256 sum = _mm256_add_ps(
+                _mm256_maskload_ps(pi + full, tail_mask), tail_bias);
+            __m256 gt = _mm256_cmp_ps(sum, zero, _CMP_GT_OQ);
+            sig |= static_cast<uint64_t>(_mm256_movemask_ps(gt)) << full;
         }
         sigs[i] = sig;
     }
 }
 
+/**
+ * Non-finite scan, 32 floats per step: |x| >= Inf is true for +/-Inf,
+ * and the unordered predicate is also true for NaN. The early exit
+ * happens at 32-float granularity; the answer is the oracle's.
+ */
+bool
+allFiniteAvx2(const float *p, size_t n)
+{
+    const __m256 abs_mask =
+        _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
+    const __m256 inf = _mm256_set1_ps(std::numeric_limits<float>::infinity());
+    auto bad = [&](const float *q) {
+        return _mm256_cmp_ps(_mm256_and_ps(_mm256_loadu_ps(q), abs_mask),
+                             inf, _CMP_NLT_UQ);
+    };
+    size_t i = 0;
+    for (; i + 32 <= n; i += 32) {
+        const __m256 any = _mm256_or_ps(
+            _mm256_or_ps(bad(p + i), bad(p + i + 8)),
+            _mm256_or_ps(bad(p + i + 16), bad(p + i + 24)));
+        if (_mm256_movemask_ps(any) != 0)
+            return false;
+    }
+    for (; i + 8 <= n; i += 8)
+        if (_mm256_movemask_ps(bad(p + i)) != 0)
+            return false;
+    for (; i < n; ++i)
+        if (!std::isfinite(p[i]))
+            return false;
+    return true;
+}
+
 const Ops kAvx2Ops = {
-    "avx2",      Level::Avx2,      gemmF32Avx2, gemmInt8Avx2,
-    addIntoAvx2, scaleInPlaceAvx2, signProjectAvx2,
+    "avx2",      Level::Avx2,      gemmF32Avx2,     gemmInt8Avx2,
+    addIntoAvx2, scaleInPlaceAvx2, signProjectAvx2, allFiniteAvx2,
 };
 
 } // namespace

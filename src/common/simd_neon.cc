@@ -17,6 +17,7 @@
 #include <arm_neon.h>
 
 #include <algorithm>
+#include <cmath>
 
 namespace genreuse::simd {
 
@@ -178,9 +179,20 @@ signProjectNeon(const float *proj, const float *biases, size_t count,
     }
 }
 
+// Plain loop: the NEON table is not built or tested on x86 hosts, so
+// this entry stays the scalar oracle's code until it can be.
+bool
+allFiniteNeon(const float *p, size_t n)
+{
+    for (size_t i = 0; i < n; ++i)
+        if (!std::isfinite(p[i]))
+            return false;
+    return true;
+}
+
 const Ops kNeonOps = {
-    "neon",      Level::Neon,      gemmF32Neon, gemmInt8Neon,
-    addIntoNeon, scaleInPlaceNeon, signProjectNeon,
+    "neon",      Level::Neon,      gemmF32Neon,     gemmInt8Neon,
+    addIntoNeon, scaleInPlaceNeon, signProjectNeon, allFiniteNeon,
 };
 
 } // namespace

@@ -1,7 +1,6 @@
 #include "guard.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <mutex>
 #include <optional>
@@ -17,6 +16,7 @@
 #include "common/profiler.h"
 #include "common/rng.h"
 #include "common/rtrace.h"
+#include "common/simd.h"
 #include "canary.h"
 #include "reuse_audit.h"
 #include "tensor/gemm.h"
@@ -234,20 +234,6 @@ deployRung(const MemoryEstimate &est, const McuSpec &spec)
     return GuardRung::ExactFallback;
 }
 
-namespace {
-
-bool
-allFinite(const Tensor &t)
-{
-    const float *p = t.data();
-    for (size_t i = 0; i < t.size(); ++i)
-        if (!std::isfinite(p[i]))
-            return false;
-    return true;
-}
-
-} // namespace
-
 GuardedReuseConvAlgo::GuardedReuseConvAlgo(ReusePattern pattern,
                                            GuardConfig config,
                                            HashMode mode, uint64_t seed)
@@ -443,36 +429,38 @@ GuardedReuseConvAlgo::measureErrorRows(const Tensor &x, const Tensor &w,
     rows = std::min(rows, n);
     const size_t stride = n / rows;
 
+    // The sampled rows (every stride-th row) form a strided view of x,
+    // so one GEMM computes them all while keeping W's panels in cache
+    // across rows; each output element is the same float sequence a
+    // one-row GEMM would produce.
     Arena &arena = Arena::forCurrentStream();
     ArenaFrame frame(arena);
-    float *exact_row = arena.allocSpan<float>(m);
+    float *exact = arena.allocSpan<float>(rows * m);
+    gemmRaw(x.data(), w.data(), exact, rows, m, din, stride * din, m, m,
+            false);
     double err = 0.0;
     double norm = 0.0;
-    size_t sampled = 0;
     for (size_t k = 0; k < rows; ++k) {
-        const size_t r = std::min(k * stride, n - 1);
-        gemmRaw(x.data() + r * din, w.data(), exact_row, 1, m,
-                din, din, m, m, false);
-        const float *yr = y.data() + r * m;
+        const float *exact_row = exact + k * m;
+        const float *yr = y.data() + k * stride * m;
         for (size_t j = 0; j < m; ++j) {
             const double e = static_cast<double>(exact_row[j]);
             const double d = static_cast<double>(yr[j]) - e;
             err += d * d;
             norm += e * e;
         }
-        ++sampled;
     }
 
     // The verification rows are real work the MCU would do: price them
     // like the exact GEMM they are, so guarded latencies include the
     // guard's own cost.
     OpCounts ops;
-    ops.macs = static_cast<uint64_t>(sampled) * din * m;
-    ops.aluOps = 2 * static_cast<uint64_t>(sampled) * m;
+    ops.macs = static_cast<uint64_t>(rows) * din * m;
+    ops.aluOps = 2 * static_cast<uint64_t>(rows) * m;
     reportOps(ledger, Stage::Gemm, ops);
 
     const double scale =
-        static_cast<double>(n) / static_cast<double>(sampled);
+        static_cast<double>(n) / static_cast<double>(rows);
     if (exact_norm_sq_out)
         *exact_norm_sq_out = norm * scale;
     return err * scale;
@@ -583,7 +571,7 @@ GuardedReuseConvAlgo::multiplyInto(StreamContext &ctx, const Tensor &x,
     // Rung 2 immediately on non-finite activations: reuse would smear
     // the NaN across every member of its cluster, while the exact GEMM
     // confines it to the rows that actually contain it.
-    if (!allFinite(*xin)) {
+    if (!simd::ops().allFinite(xin->data(), xin->size())) {
         warnOnce("guard-nonfinite-input",
                  "guard: non-finite activations; conv layer downgraded "
                  "to exact GEMM for this forward (warned once)");

@@ -179,8 +179,9 @@ ReuseConvAlgo::tryMultiplyInto(StreamContext &ctx, const Tensor &x,
     // Layout transformation of the input matrix, into the stream's
     // persistent scratch. (The paper includes reorder cost in all
     // reported latencies; weight-row reordering is free at runtime
-    // because weights are pre-permuted offline — here sc.wr persists,
-    // so the gather costs one pass and no allocation in steady state.)
+    // because weights are pre-permuted offline — here the vertical
+    // kernel gathers each slice's weight rows as it goes, and the
+    // horizontal path permutes into the persistent sc.wr.)
     const Tensor *xin = &x;
     if (reorder_rows || reorder_cols) {
         profiler::ProfSpan span("reuse.transform");
@@ -207,11 +208,20 @@ ReuseConvAlgo::tryMultiplyInto(StreamContext &ctx, const Tensor &x,
         audit::recordTraffic(this, tf.elemMoves, 0);
     }
     const Tensor *win = &w;
+    const uint32_t *w_rows = nullptr;
     if (reorder_cols) {
-        permuteRowsInto(w, colPerm_, sc.wr);
-        win = &sc.wr;
+        if (pattern_.direction == ReuseDirection::Vertical) {
+            // The vertical kernel gathers each slice's few weight rows
+            // itself; permuting all of W per forward cost more than
+            // the slices' GEMMs on the small late layers.
+            w_rows = colPerm_.data();
+        } else {
+            permuteRowsInto(w, colPerm_, sc.wr);
+            win = &sc.wr;
+        }
     }
-    reuseCoreInto(sc, *xin, *win, row_perm, reorder_rows, geom, ledger, y);
+    reuseCoreInto(sc, *xin, *win, w_rows, row_perm, reorder_rows, geom,
+                  ledger, y);
     return Status();
 }
 
@@ -239,13 +249,14 @@ ReuseConvAlgo::multiplyReordered(const Tensor &xr, const Tensor &wr,
         audit::recordTraffic(this, tf.elemMoves, 0);
     }
     Tensor y;
-    reuseCoreInto(sc, xr, wr, row_perm, reorder_rows, geom, ledger, y);
+    reuseCoreInto(sc, xr, wr, nullptr, row_perm, reorder_rows, geom, ledger,
+                  y);
     return y;
 }
 
 void
 ReuseConvAlgo::reuseCoreInto(ConvStreamScratch &sc, const Tensor &xr,
-                             const Tensor &wr,
+                             const Tensor &wr, const uint32_t *w_rows,
                              const std::vector<uint32_t> &row_perm,
                              bool reorder_rows, const ConvGeometry &geom,
                              CostLedger *ledger, Tensor &y)
@@ -257,7 +268,7 @@ ReuseConvAlgo::reuseCoreInto(ConvStreamScratch &sc, const Tensor &xr,
     Tensor &yr = reorder_rows ? sc.yTmp : y;
     if (pattern_.direction == ReuseDirection::Vertical) {
         verticalReuseMultiplyInto(xr, wr, vslice_, families_, ledger,
-                                  &sc.lastStats, yr);
+                                  &sc.lastStats, yr, w_rows);
     } else {
         HorizontalSlicing plan = HorizontalSlicing::plan(
             xr.shape().rows(), pattern_.effectiveGranularity(geom));

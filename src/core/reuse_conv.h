@@ -149,8 +149,10 @@ class ReuseConvAlgo : public ConvAlgo
   private:
     void fitFamilies(const Tensor &sample, const ConvGeometry &geom);
     ConvStreamScratch &scratch(StreamContext &ctx) const;
+    /** @p w_rows: as in verticalReuseMultiplyInto (vertical patterns
+     *  only; nullptr when @p wr is already in @p xr's column order). */
     void reuseCoreInto(ConvStreamScratch &sc, const Tensor &xr,
-                       const Tensor &wr,
+                       const Tensor &wr, const uint32_t *w_rows,
                        const std::vector<uint32_t> &row_perm,
                        bool reorder_rows, const ConvGeometry &geom,
                        CostLedger *ledger, Tensor &y);

@@ -1,6 +1,7 @@
 #include "vertical_reuse.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/arena.h"
 #include "common/eventlog.h"
@@ -56,6 +57,22 @@ materializeBlocksInto(const Tensor &x, size_t col0, size_t width,
     }
 }
 
+/** The common difference when @p rows[0..count) rise in equal steps
+ *  (1 for a single row), else 0. */
+size_t
+strideOf(const uint32_t *rows, size_t count)
+{
+    if (count < 2)
+        return 1;
+    if (rows[1] <= rows[0])
+        return 0;
+    const size_t step = rows[1] - rows[0];
+    for (size_t i = 2; i < count; ++i)
+        if (rows[i] != rows[0] + i * step)
+            return 0;
+    return step;
+}
+
 Tensor
 materializeBlocks(const Tensor &x, size_t col0, size_t width,
                   size_t block_rows, size_t num_blocks)
@@ -83,7 +100,8 @@ void
 verticalReuseMultiplyInto(const Tensor &x, const Tensor &w,
                           const VerticalSlicing &slicing,
                           const std::vector<HashFamily> &families,
-                          OpLedger *ledger, ReuseStats *stats, Tensor &y)
+                          OpLedger *ledger, ReuseStats *stats, Tensor &y,
+                          const uint32_t *w_rows)
 {
     GENREUSE_REQUIRE(x.shape().rank() == 2 && w.shape().rank() == 2,
                      "reuse multiply expects matrices");
@@ -96,16 +114,40 @@ verticalReuseMultiplyInto(const Tensor &x, const Tensor &w,
     profiler::ProfSpan pspan("vertical.reuse");
 
     y.resize({n, m});
-    y.zero(); // slices accumulate
     ReuseStats local;
     local.exactMacs = n * din * m;
 
     const size_t r = slicing.blockRows;
     const size_t full_blocks = n / r;
     const size_t rem_rows = n - full_blocks * r;
+    // Single-row items recover row-outer: every slice's centroid
+    // products and assignments are kept until the last slice, then each
+    // output row is summed once from its slices' centroid rows. Per
+    // element that is the same float sequence as zeroing y and adding
+    // one slice at a time, without streaming y through the cache once
+    // per slice. Neuron blocks (r > 1) still accumulate slice by slice.
+    const bool row_outer = r == 1;
+    if (!row_outer)
+        y.zero(); // slices accumulate
 
     const simd::Ops &simd_ops = simd::ops();
     Arena &arena = Arena::forCurrentStream();
+    ArenaFrame frame(arena);
+    // Row-outer state per slice: its centroid products (nullptr when
+    // the slice fell back to exact GEMM), then its W rows, and its
+    // assignments.
+    const float **slice_yc =
+        row_outer ? arena.allocSpan<const float *>(slicing.numSlices)
+                  : nullptr;
+    const float **slice_w =
+        row_outer ? arena.allocSpan<const float *>(slicing.numSlices)
+                  : nullptr;
+    uint32_t *slice_ids =
+        row_outer ? arena.allocSpan<uint32_t>(slicing.numSlices * n)
+                  : nullptr;
+    // One slice's gathered W rows, reused slice after slice.
+    float *w_gather =
+        w_rows ? arena.allocSpan<float>(slicing.sliceWidth * m) : nullptr;
     // Cluster table scratch persists across slices AND forwards in the
     // executing stream's context: its vectors/centroids regrow to the
     // largest panel once, then steady-state reclustering is
@@ -118,8 +160,29 @@ verticalReuseMultiplyInto(const Tensor &x, const Tensor &w,
     for (size_t k = 0; k < slicing.numSlices; ++k) {
         const size_t col0 = k * slicing.sliceWidth;
         const size_t width = slicing.width(k, din);
+        // This slice's W rows: w_slice[i * ldw], i < width.
         const float *w_slice = w.data() + col0 * m;
-        ArenaFrame frame(arena); // per-slice scratch
+        size_t ldw = m;
+        if (w_rows) {
+            const size_t step = strideOf(w_rows + col0, width);
+            if (step > 0) {
+                // Evenly spaced rows (a channel run of a pixel-major
+                // order) are read in place.
+                w_slice = w.data() + w_rows[col0] * m;
+                ldw = step * m;
+            } else {
+                for (size_t i = 0; i < width; ++i) {
+                    const float *src = w.data() + w_rows[col0 + i] * m;
+                    std::copy(src, src + m, w_gather + i * m);
+                }
+                w_slice = w_gather;
+            }
+        }
+        // Per-slice scratch; row-outer keeps every slice's products in
+        // the function-wide frame instead.
+        std::optional<ArenaFrame> slice_frame;
+        if (!row_outer)
+            slice_frame.emplace(arena);
 
         // ---- clustering -------------------------------------------
         // clusterBySignature reports the actual hashing/grouping/
@@ -152,12 +215,27 @@ verticalReuseMultiplyInto(const Tensor &x, const Tensor &w,
         if (!clusterTableValid(clusters)) {
             // A corrupted/degenerate table (bit-flip, fault injection)
             // must not be dereferenced: downgrade this slice to exact
-            // GEMM over all n rows, accumulated like the reuse path.
+            // GEMM over all n rows, accumulated like the reuse path
+            // (row-outer: at recovery, row by row).
             guard::noteKernelFallback("vertical");
             reportOps(ledger, Stage::Clustering, cluster_ops);
             local.reuseMacs += cluster_ops.macs;
-            gemmRaw(x.data() + col0, w_slice, y.data(), n, m, width,
-                    din, m, m, true);
+            if (row_outer) {
+                // Recovery needs this slice's W rows again; keep a copy
+                // when they were gathered (a corrupted table is rare).
+                slice_yc[k] = nullptr;
+                slice_w[k] = w_slice;
+                if (w_rows) {
+                    float *copy = arena.allocSpan<float>(width * m);
+                    for (size_t i = 0; i < width; ++i)
+                        std::copy(w_slice + i * ldw, w_slice + i * ldw + m,
+                                  copy + i * m);
+                    slice_w[k] = copy;
+                }
+            } else {
+                gemmRaw(x.data() + col0, w_slice, y.data(), n, m, width,
+                        din, ldw, m, true);
+            }
             local.reuseMacs += n * width * m;
             local.numPanels += 1;
             OpCounts mm;
@@ -182,7 +260,7 @@ verticalReuseMultiplyInto(const Tensor &x, const Tensor &w,
         {
             profiler::ProfSpan span("vertical.gemm");
             simd_ops.gemmF32(clusters.centroids.data(), w_slice, yc,
-                             nc * r, m, width, width, m, m, false);
+                             nc * r, m, width, width, ldw, m, false);
         }
         const size_t gemm_macs = nc * r * width * m;
         local.reuseMacs += gemm_macs;
@@ -190,36 +268,56 @@ verticalReuseMultiplyInto(const Tensor &x, const Tensor &w,
         mm.macs = gemm_macs;
         reportOps(ledger, Stage::Gemm, mm);
 
-        // ---- recover ------------------------------------------------
-        profiler::ProfSpan recover_span("vertical.recover");
-        if (r == 1) {
-            for (size_t row = 0; row < n; ++row) {
-                const float *src = yc + clusters.assignments[row] * m;
-                simd_ops.addInto(y.data() + row * m, src, m);
-            }
-        } else {
-            for (size_t b = 0; b < full_blocks; ++b) {
-                const float *src =
-                    yc + clusters.assignments[b] * r * m;
-                simd_ops.addInto(y.data() + b * r * m, src, r * m);
-            }
-            // Remainder rows that do not fill a block: exact GEMM.
-            if (rem_rows > 0) {
-                gemmRaw(x.data() + full_blocks * r * din + col0, w_slice,
-                        y.data() + full_blocks * r * m, rem_rows, m, width,
-                        din, m, m, true);
-                local.reuseMacs += rem_rows * width * m;
-                OpCounts rem_mm;
-                rem_mm.macs = rem_rows * width * m;
-                reportOps(ledger, Stage::Gemm, rem_mm);
-            }
-        }
-        // Duplicating centroid results: one streaming accumulate
-        // over Y per slice (the final writeback to the activation
-        // layout is charged by the convolution layer itself).
+        // Duplicating centroid results: one add per Y element per
+        // slice (the final writeback to the activation layout is
+        // charged by the convolution layer itself).
         OpCounts rc;
         rc.aluOps = n * m;
         reportOps(ledger, Stage::Recovering, rc);
+
+        if (row_outer) {
+            slice_yc[k] = yc;
+            std::copy(clusters.assignments.begin(),
+                      clusters.assignments.end(), slice_ids + k * n);
+            continue;
+        }
+
+        // ---- recover ------------------------------------------------
+        profiler::ProfSpan recover_span("vertical.recover");
+        for (size_t b = 0; b < full_blocks; ++b) {
+            const float *src = yc + clusters.assignments[b] * r * m;
+            simd_ops.addInto(y.data() + b * r * m, src, r * m);
+        }
+        // Remainder rows that do not fill a block: exact GEMM.
+        if (rem_rows > 0) {
+            gemmRaw(x.data() + full_blocks * r * din + col0, w_slice,
+                    y.data() + full_blocks * r * m, rem_rows, m, width,
+                    din, ldw, m, true);
+            local.reuseMacs += rem_rows * width * m;
+            OpCounts rem_mm;
+            rem_mm.macs = rem_rows * width * m;
+            reportOps(ledger, Stage::Gemm, rem_mm);
+        }
+    }
+
+    if (row_outer) {
+        profiler::ProfSpan recover_span("vertical.recover");
+        for (size_t row = 0; row < n; ++row) {
+            float *yr = y.data() + row * m;
+            std::fill(yr, yr + m, 0.0f);
+            for (size_t k = 0; k < slicing.numSlices; ++k) {
+                if (slice_yc[k]) {
+                    simd_ops.addInto(
+                        yr, slice_yc[k] + slice_ids[k * n + row] * m, m);
+                } else {
+                    // Fallback slice: this row's exact product, the
+                    // same per-element sequence as the full-panel GEMM.
+                    const size_t col0 = k * slicing.sliceWidth;
+                    gemmRaw(x.data() + row * din + col0, slice_w[k], yr,
+                            1, m, slicing.width(k, din), din, m, m, true);
+                }
+            }
+        }
     }
     {
         OpCounts rc;

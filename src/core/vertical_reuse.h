@@ -60,12 +60,21 @@ Tensor verticalReuseMultiply(const Tensor &x, const Tensor &w,
  * thread's stream arena or thread-local scratch, so a steady-state call
  * performs no heap allocation. Results are identical to the returning
  * form.
+ *
+ * @param w_rows when non-null, @p x's columns are a reordering of
+ *               @p w's rows: column c of x pairs with row w_rows[c] of
+ *               w (a column-reordered reuse pattern). Each slice then
+ *               reads its few rows of w in place when they are evenly
+ *               spaced and gathers them into scratch otherwise, instead
+ *               of the caller permuting the whole weight matrix per
+ *               forward. Results equal those for the permuted w.
  */
 void verticalReuseMultiplyInto(const Tensor &x, const Tensor &w,
                                const VerticalSlicing &slicing,
                                const std::vector<HashFamily> &families,
                                OpLedger *ledger, ReuseStats *stats,
-                               Tensor &y);
+                               Tensor &y,
+                               const uint32_t *w_rows = nullptr);
 
 /**
  * Build random hash families (the paper's lightweight profiling

@@ -211,15 +211,28 @@ injectClusterFaults(const StridedItems &items, ClusterResult &result)
     }
 }
 
-} // namespace
-
+/**
+ * The clustering pipeline behind both public entry points. When
+ * @p family is non-null the items are hashed here (into arena scratch)
+ * and @p sigs is ignored, so the "lsh.cluster" span covers hashing as
+ * well as grouping — the hash MACs are charged to the same
+ * Stage::Clustering ledger entry.
+ */
 void
-clusterSignaturesInto(const StridedItems &items, const uint64_t *sigs,
-                      ClusterResult &result, OpCounts *ops)
+clusterInto(const StridedItems &items, const HashFamily *family,
+            const uint64_t *sigs, ClusterResult &result, OpCounts *ops)
 {
     profiler::ProfSpan pspan("lsh.cluster");
     Arena &arena = Arena::forCurrentStream();
     ArenaFrame frame(arena);
+
+    if (family) {
+        if (ops)
+            ops->macs += family->hashMacs(items.count);
+        uint64_t *own = arena.allocSpan<uint64_t>(items.count);
+        family->signaturesInto(items, own);
+        sigs = own;
+    }
 
     const uint64_t *use = sigs;
     if (faultpoint::anyArmed() &&
@@ -276,17 +289,20 @@ clusterSignaturesInto(const StridedItems &items, const uint64_t *sigs,
                          static_cast<uint32_t>(result.numClusters()));
 }
 
+} // namespace
+
+void
+clusterSignaturesInto(const StridedItems &items, const uint64_t *sigs,
+                      ClusterResult &result, OpCounts *ops)
+{
+    clusterInto(items, nullptr, sigs, result, ops);
+}
+
 void
 clusterBySignatureInto(const StridedItems &items, const HashFamily &family,
                        ClusterResult &result, OpCounts *ops)
 {
-    if (ops)
-        ops->macs += family.hashMacs(items.count);
-    Arena &arena = Arena::forCurrentStream();
-    ArenaFrame frame(arena);
-    uint64_t *sigs = arena.allocSpan<uint64_t>(items.count);
-    family.signaturesInto(items, sigs);
-    clusterSignaturesInto(items, sigs, result, ops);
+    clusterInto(items, &family, nullptr, result, ops);
 }
 
 ClusterResult

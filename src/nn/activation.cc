@@ -8,16 +8,23 @@ Tensor
 ReLU::forward(const Tensor &x, bool training)
 {
     Tensor y(x.shape());
-    if (training) {
-        mask_.assign(x.size(), 0);
-        cachedShape_ = x.shape();
-        haveCache_ = true;
+    const size_t n = x.size();
+    const float *src = x.data();
+    float *dst = y.data();
+    if (!training) {
+        // Inference: backward() is never called, so no mask.
+        for (size_t i = 0; i < n; ++i)
+            dst[i] = src[i] > 0.0f ? src[i] : 0.0f;
+        return y;
     }
-    for (size_t i = 0; i < x.size(); ++i) {
-        bool pos = x[i] > 0.0f;
-        y[i] = pos ? x[i] : 0.0f;
-        if (training && pos)
-            mask_[i] = 1;
+    mask_.resize(n);
+    cachedShape_ = x.shape();
+    haveCache_ = true;
+    uint8_t *mask = mask_.data();
+    for (size_t i = 0; i < n; ++i) {
+        const bool pos = src[i] > 0.0f;
+        dst[i] = pos ? src[i] : 0.0f;
+        mask[i] = pos ? 1 : 0;
     }
     return y;
 }

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/eventlog.h"
 #include "common/logging.h"
 #include "common/profiler.h"
+#include "common/simd.h"
 #include "tensor/gemm.h"
 
 namespace genreuse {
@@ -67,6 +69,23 @@ Conv2D::weightMatrix() const
     return kernelToMatrix(kernel_.value);
 }
 
+const Tensor &
+Conv2D::packedWeights()
+{
+    // Compared bit for bit, so the pack follows every way the kernel
+    // can change — kernel().value assignment, an optimizer step, a
+    // parameter load, a BN fold, or a write through a reference held
+    // across forwards — at the cost of one contiguous compare.
+    const Tensor &k = kernel_.value;
+    if (packedFrom_.shape() != k.shape() ||
+        std::memcmp(packedFrom_.data(), k.data(),
+                    k.size() * sizeof(float)) != 0) {
+        packedFrom_ = k;
+        packedW_ = kernelToMatrix(k);
+    }
+    return packedW_;
+}
+
 Tensor
 Conv2D::forward(const Tensor &x, bool training)
 {
@@ -87,16 +106,15 @@ Conv2D::forward(const Tensor &x, bool training)
         reportOps(ledger_, Stage::Transformation, ops);
     }
 
-    Tensor w = weightMatrix();
-    Tensor y = algo_->multiply(cols, w, geom, ledger_);
+    Tensor y = algo_->multiply(cols, packedWeights(), geom, ledger_);
 
     // Bias.
     {
         profiler::ProfSpan span("conv.bias");
         const size_t n = y.shape().rows(), m = y.shape().cols();
+        const simd::Ops &simd_ops = simd::ops();
         for (size_t r = 0; r < n; ++r)
-            for (size_t c = 0; c < m; ++c)
-                y.at2(r, c) += bias_.value[c];
+            simd_ops.addInto(y.data() + r * m, bias_.value.data(), m);
         OpCounts ops;
         ops.aluOps = n * m;      // bias adds
         ops.elemMoves = n * m;   // fold back into activation layout

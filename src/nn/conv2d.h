@@ -133,6 +133,12 @@ class Conv2D : public Layer
     std::shared_ptr<ConvAlgo> algo_;
     CostLedger *ledger_ = nullptr;
 
+    /** kernelToMatrix(kernel_.value), repacked only when the kernel
+     *  differs from packedFrom_, the copy it was packed from. */
+    const Tensor &packedWeights();
+    Tensor packedW_;
+    Tensor packedFrom_;
+
     // Caches for backward.
     Tensor cachedX_;
     ConvGeometry cachedGeom_;

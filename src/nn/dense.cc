@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/simd.h"
 #include "tensor/gemm.h"
 
 namespace genreuse {
@@ -40,9 +41,10 @@ Dense::forward(const Tensor &x, bool training)
 {
     Tensor flat = flattenSamples(x, inFeatures_);
     Tensor y = matmul(flat, weight_.value);
+    const size_t m = y.shape().cols();
+    const simd::Ops &simd_ops = simd::ops();
     for (size_t r = 0; r < y.shape().rows(); ++r)
-        for (size_t c = 0; c < y.shape().cols(); ++c)
-            y.at2(r, c) += bias_.value[c];
+        simd_ops.addInto(y.data() + r * m, bias_.value.data(), m);
     if (training) {
         cachedX_ = std::move(flat);
         cachedInShape_ = x.shape();

@@ -33,41 +33,44 @@ MaxPool2D::forward(const Tensor &x, bool training)
 {
     checkPoolInput(x.shape(), size_, "MaxPool2D");
     const Shape &s = x.shape();
-    size_t oh = poolOut(s.height(), size_, stride_);
-    size_t ow = poolOut(s.width(), size_, stride_);
+    const size_t ih = s.height(), iw = s.width();
+    const size_t oh = poolOut(ih, size_, stride_);
+    const size_t ow = poolOut(iw, size_, stride_);
     Tensor y({s.batch(), s.channels(), oh, ow});
-    argmax_.assign(y.size(), 0);
-
-    size_t out = 0;
-    for (size_t b = 0; b < s.batch(); ++b) {
-        for (size_t c = 0; c < s.channels(); ++c) {
-            for (size_t yy = 0; yy < oh; ++yy) {
-                for (size_t xx = 0; xx < ow; ++xx, ++out) {
-                    float best = x.at4(b, c, yy * stride_, xx * stride_);
-                    size_t best_h = yy * stride_, best_w = xx * stride_;
-                    for (size_t kh = 0; kh < size_; ++kh) {
-                        for (size_t kw = 0; kw < size_; ++kw) {
-                            float v = x.at4(b, c, yy * stride_ + kh,
-                                            xx * stride_ + kw);
-                            if (v > best) {
-                                best = v;
-                                best_h = yy * stride_ + kh;
-                                best_w = xx * stride_ + kw;
-                            }
-                        }
-                    }
-                    y[out] = best;
-                    argmax_[out] = static_cast<uint32_t>(
-                        ((b * s.channels() + c) * s.height() + best_h) *
-                            s.width() +
-                        best_w);
-                }
-            }
-        }
-    }
+    // Only backward() reads the argmax, so inference skips it.
+    uint32_t *argmax = nullptr;
     if (training) {
+        argmax_.assign(y.size(), 0);
+        argmax = argmax_.data();
         cachedInShape_ = s;
         haveCache_ = true;
+    }
+
+    const size_t planes = s.batch() * s.channels();
+    float *dst = y.data();
+    for (size_t pl = 0; pl < planes; ++pl) {
+        const float *src = x.data() + pl * ih * iw;
+        for (size_t yy = 0; yy < oh; ++yy) {
+            for (size_t xx = 0; xx < ow; ++xx, ++dst) {
+                // Row-major window scan; the first maximum wins.
+                size_t best_at = yy * stride_ * iw + xx * stride_;
+                float best = src[best_at];
+                for (size_t kh = 0; kh < size_; ++kh) {
+                    const size_t row = (yy * stride_ + kh) * iw;
+                    for (size_t kw = 0; kw < size_; ++kw) {
+                        const size_t at = row + xx * stride_ + kw;
+                        if (src[at] > best) {
+                            best = src[at];
+                            best_at = at;
+                        }
+                    }
+                }
+                *dst = best;
+                if (argmax)
+                    *argmax++ =
+                        static_cast<uint32_t>(pl * ih * iw + best_at);
+            }
+        }
     }
     return y;
 }
@@ -180,15 +183,16 @@ GlobalAvgPool2D::forward(const Tensor &x, bool training)
     GENREUSE_REQUIRE(x.shape().rank() == 4, "GlobalAvgPool2D input NCHW");
     const Shape &s = x.shape();
     Tensor y({s.batch(), s.channels()});
-    const float inv = 1.0f / static_cast<float>(s.height() * s.width());
-    for (size_t b = 0; b < s.batch(); ++b)
-        for (size_t c = 0; c < s.channels(); ++c) {
-            float sum = 0.0f;
-            for (size_t h = 0; h < s.height(); ++h)
-                for (size_t w = 0; w < s.width(); ++w)
-                    sum += x.at4(b, c, h, w);
-            y.at2(b, c) = sum * inv;
-        }
+    const size_t plane = s.height() * s.width();
+    const float inv = 1.0f / static_cast<float>(plane);
+    // One (b, c) plane per output, summed in storage order.
+    for (size_t i = 0; i < y.size(); ++i) {
+        const float *src = x.data() + i * plane;
+        float sum = 0.0f;
+        for (size_t j = 0; j < plane; ++j)
+            sum += src[j];
+        y[i] = sum * inv;
+    }
     if (training) {
         cachedInShape_ = s;
         haveCache_ = true;

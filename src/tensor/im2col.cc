@@ -1,5 +1,7 @@
 #include "im2col.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace genreuse {
@@ -22,6 +24,25 @@ checkGeometry(const ConvGeometry &geom)
     GENREUSE_REQUIRE(geom.valid(), "invalid convolution geometry");
 }
 
+/**
+ * dst = src^T for a row-major (rows x cols) @p src, in square tiles so
+ * both sides stay cache-resident.
+ */
+void
+transposeInto(const float *src, size_t rows, size_t cols, float *dst)
+{
+    constexpr size_t kTile = 16;
+    for (size_t r0 = 0; r0 < rows; r0 += kTile) {
+        const size_t r1 = std::min(rows, r0 + kTile);
+        for (size_t c0 = 0; c0 < cols; c0 += kTile) {
+            const size_t c1 = std::min(cols, c0 + kTile);
+            for (size_t r = r0; r < r1; ++r)
+                for (size_t c = c0; c < c1; ++c)
+                    dst[c * rows + r] = src[r * cols + c];
+        }
+    }
+}
+
 } // namespace
 
 Tensor
@@ -35,30 +56,43 @@ im2col(const Tensor &input, const ConvGeometry &geom)
                      " mismatches geometry");
 
     const size_t oh = geom.outHeight(), ow = geom.outWidth();
+    const size_t ih = geom.inHeight, iw = geom.inWidth;
+    const size_t kh_n = geom.kernelH, kw_n = geom.kernelW;
+    const size_t plane = ih * iw;
     Tensor out({geom.rows(), geom.cols()});
-    size_t row = 0;
+    float *dst = out.data();
     for (size_t b = 0; b < geom.batch; ++b) {
+        const float *img = input.data() + b * geom.inChannels * plane;
         for (size_t y = 0; y < oh; ++y) {
-            for (size_t x = 0; x < ow; ++x, ++row) {
-                float *dst = out.data() + row * geom.cols();
-                size_t col = 0;
+            for (size_t x = 0; x < ow; ++x) {
+                // Kernel columns [kw0, kw1) land inside the image; the
+                // ones either side of that are zero padding.
+                const long sx0 = static_cast<long>(x * geom.stride) -
+                                 static_cast<long>(geom.pad);
+                const size_t kw0 =
+                    sx0 < 0 ? std::min(kw_n, static_cast<size_t>(-sx0)) : 0;
+                const long hi = static_cast<long>(iw) - sx0;
+                const size_t kw1 =
+                    hi <= static_cast<long>(kw0)
+                        ? kw0
+                        : std::min(kw_n, static_cast<size_t>(hi));
                 for (size_t c = 0; c < geom.inChannels; ++c) {
-                    for (size_t kh = 0; kh < geom.kernelH; ++kh) {
-                        // Signed source row; padding yields zeros.
-                        long sy = static_cast<long>(y * geom.stride + kh) -
-                                  static_cast<long>(geom.pad);
-                        for (size_t kw = 0; kw < geom.kernelW; ++kw, ++col) {
-                            long sx =
-                                static_cast<long>(x * geom.stride + kw) -
-                                static_cast<long>(geom.pad);
-                            if (sy < 0 || sx < 0 ||
-                                sy >= static_cast<long>(geom.inHeight) ||
-                                sx >= static_cast<long>(geom.inWidth)) {
-                                dst[col] = 0.0f;
-                            } else {
-                                dst[col] = input.at4(b, c, sy, sx);
-                            }
+                    const float *chan = img + c * plane;
+                    for (size_t kh = 0; kh < kh_n; ++kh, dst += kw_n) {
+                        const long sy = static_cast<long>(y * geom.stride +
+                                                          kh) -
+                                        static_cast<long>(geom.pad);
+                        if (sy < 0 || sy >= static_cast<long>(ih)) {
+                            std::fill(dst, dst + kw_n, 0.0f);
+                            continue;
                         }
+                        const float *src =
+                            chan + static_cast<size_t>(sy) * iw;
+                        std::fill(dst, dst + kw0, 0.0f);
+                        for (size_t kw = kw0; kw < kw1; ++kw)
+                            dst[kw] = src[static_cast<size_t>(
+                                sx0 + static_cast<long>(kw))];
+                        std::fill(dst + kw1, dst + kw_n, 0.0f);
                     }
                 }
             }
@@ -113,14 +147,10 @@ kernelToMatrix(const Tensor &kernel)
     const size_t m = kernel.shape().dim(0);
     const size_t din = kernel.shape().dim(1) * kernel.shape().dim(2) *
                        kernel.shape().dim(3);
+    // Kernel storage is already [c][kh][kw]-major per filter, so the
+    // weight matrix is the (M x Din) kernel transposed.
     Tensor w({din, m});
-    // Kernel storage is already [c][kh][kw]-major per filter; copy each
-    // filter into a column.
-    for (size_t f = 0; f < m; ++f) {
-        const float *src = kernel.data() + f * din;
-        for (size_t d = 0; d < din; ++d)
-            w.at2(d, f) = src[d];
-    }
+    transposeInto(kernel.data(), m, din, w.data());
     return w;
 }
 
@@ -132,47 +162,40 @@ matrixToKernel(const Tensor &mat, const ConvGeometry &geom)
                      "weight matrix shape ", mat.shape().toString(),
                      " mismatches geometry");
     Tensor kernel({m, geom.inChannels, geom.kernelH, geom.kernelW});
-    for (size_t f = 0; f < m; ++f) {
-        float *dst = kernel.data() + f * din;
-        for (size_t d = 0; d < din; ++d)
-            dst[d] = mat.at2(d, f);
-    }
+    transposeInto(mat.data(), din, m, kernel.data());
     return kernel;
 }
 
 Tensor
 gemmOutputToActivation(const Tensor &y, const ConvGeometry &geom)
 {
-    const size_t oh = geom.outHeight(), ow = geom.outWidth();
+    const size_t pixels = geom.outHeight() * geom.outWidth();
     const size_t m = geom.outChannels;
     GENREUSE_REQUIRE(y.shape() == Shape({geom.rows(), m}),
                      "GEMM output shape ", y.shape().toString(),
                      " mismatches geometry");
-    Tensor act({geom.batch, m, oh, ow});
-    size_t row = 0;
+    // Per image, the (pixels x M) GEMM rows transposed are the
+    // (M x OH*OW) channel planes.
+    Tensor act({geom.batch, m, geom.outHeight(), geom.outWidth()});
     for (size_t b = 0; b < geom.batch; ++b)
-        for (size_t yy = 0; yy < oh; ++yy)
-            for (size_t xx = 0; xx < ow; ++xx, ++row)
-                for (size_t c = 0; c < m; ++c)
-                    act.at4(b, c, yy, xx) = y.at2(row, c);
+        transposeInto(y.data() + b * pixels * m, pixels, m,
+                      act.data() + b * m * pixels);
     return act;
 }
 
 Tensor
 activationToGemmOutput(const Tensor &act, const ConvGeometry &geom)
 {
-    const size_t oh = geom.outHeight(), ow = geom.outWidth();
+    const size_t pixels = geom.outHeight() * geom.outWidth();
     const size_t m = geom.outChannels;
-    GENREUSE_REQUIRE(act.shape() == Shape({geom.batch, m, oh, ow}),
+    GENREUSE_REQUIRE(act.shape() == Shape({geom.batch, m, geom.outHeight(),
+                                           geom.outWidth()}),
                      "activation shape ", act.shape().toString(),
                      " mismatches geometry");
     Tensor y({geom.rows(), m});
-    size_t row = 0;
     for (size_t b = 0; b < geom.batch; ++b)
-        for (size_t yy = 0; yy < oh; ++yy)
-            for (size_t xx = 0; xx < ow; ++xx, ++row)
-                for (size_t c = 0; c < m; ++c)
-                    y.at2(row, c) = act.at4(b, c, yy, xx);
+        transposeInto(act.data() + b * m * pixels, m, pixels,
+                      y.data() + b * pixels * m);
     return y;
 }
 

@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <gtest/gtest.h>
 #include <limits>
 
@@ -19,6 +20,7 @@
 #include "core/fc_reuse.h"
 #include "core/guard.h"
 #include "core/horizontal_reuse.h"
+#include "core/reorder.h"
 #include "core/vertical_reuse.h"
 #include "lsh/clustering.h"
 #include "mcu/memory_model.h"
@@ -332,6 +334,47 @@ TEST(FaultMatrix, CorruptIdsAndEmptyClusterAreDetected)
     }
     ClusterResult clean = clusterBySignature(items, fam, nullptr);
     EXPECT_TRUE(clusterTableValid(clean));
+}
+
+TEST(FaultMatrix, VerticalFallbackSlicesEqualSliceByExactGemm)
+{
+    // Every table is corrupt, so every slice falls back to exact GEMM.
+    // The row-outer recovery must reproduce accumulating each slice's
+    // exact product into y in slice order, byte for byte — including a
+    // slice wider than one GEMM k-block, and with gathered weight rows.
+    FaultSandbox sandbox;
+    Rng rng(5);
+    const size_t n = 40, din = 600, m = 9;
+    Tensor x = Tensor::randomNormal({n, din}, rng);
+    Tensor w = Tensor::randomNormal({din, m}, rng);
+    // First half: even rows ascending (slices read W in place at
+    // stride 2); second half: odd rows descending (slices gather).
+    std::vector<uint32_t> perm(din);
+    for (size_t c = 0; c < din / 2; ++c)
+        perm[c] = static_cast<uint32_t>(2 * c);
+    for (size_t c = din / 2; c < din; ++c)
+        perm[c] = static_cast<uint32_t>(2 * (din - 1 - c) + 1);
+    Tensor w_perm = permuteRows(w, perm);
+    for (size_t l : {size_t(300), size_t(25)}) {
+        VerticalSlicing s = VerticalSlicing::plan(din, l, 1);
+        auto fams = randomVerticalFamilies(s, din, 4, rng);
+        Tensor ref({n, m});
+        for (size_t k = 0; k < s.numSlices; ++k)
+            gemmRaw(x.data() + k * l, w_perm.data() + k * l * m, ref.data(),
+                    n, m, s.width(k, din), din, m, m, true);
+
+        faultpoint::Scoped scoped(faultpoint::Fault::ClusterEmpty, 3);
+        Tensor y, y_gathered;
+        verticalReuseMultiplyInto(x, w_perm, s, fams, nullptr, nullptr, y);
+        verticalReuseMultiplyInto(x, w, s, fams, nullptr, nullptr,
+                                  y_gathered, perm.data());
+        EXPECT_EQ(std::memcmp(y.data(), ref.data(), ref.size() * 4), 0)
+            << "L=" << l;
+        EXPECT_EQ(std::memcmp(y_gathered.data(), ref.data(),
+                              ref.size() * 4),
+                  0)
+            << "L=" << l;
+    }
 }
 
 TEST(FaultMatrix, SramExhaustedReportsZeroCapacityAndDowngrades)

@@ -1,11 +1,15 @@
 /**
  * @file
  * Tests for im2col/col2im: geometry math, explicit small cases, the
- * adjoint property linking im2col and col2im, kernel flattening, and
- * the full GEMM-convolution equivalence against a naive convolution.
+ * adjoint property linking im2col and col2im, kernel flattening, the
+ * full GEMM-convolution equivalence against a naive convolution, and
+ * bit-exact agreement of the pointer-walking layout transforms with
+ * their element-by-element reference loops.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
@@ -61,6 +65,121 @@ naiveConv(const Tensor &input, const Tensor &kernel, const ConvGeometry &g)
                     out.at4(b, f, y, x) = acc;
                 }
     return out;
+}
+
+// ---- element-by-element references ---------------------------------
+//
+// The straightforward nested loops over at4/at2 that define each
+// layout transform; the library versions walk raw pointers instead
+// and must produce the same bytes.
+
+Tensor
+refIm2col(const Tensor &input, const ConvGeometry &g)
+{
+    Tensor out({g.rows(), g.cols()});
+    size_t row = 0;
+    for (size_t b = 0; b < g.batch; ++b)
+        for (size_t y = 0; y < g.outHeight(); ++y)
+            for (size_t x = 0; x < g.outWidth(); ++x, ++row) {
+                size_t col = 0;
+                for (size_t c = 0; c < g.inChannels; ++c)
+                    for (size_t kh = 0; kh < g.kernelH; ++kh)
+                        for (size_t kw = 0; kw < g.kernelW; ++kw, ++col) {
+                            long sy = static_cast<long>(y * g.stride + kh) -
+                                      static_cast<long>(g.pad);
+                            long sx = static_cast<long>(x * g.stride + kw) -
+                                      static_cast<long>(g.pad);
+                            out.at2(row, col) =
+                                sy < 0 || sx < 0 ||
+                                        sy >= static_cast<long>(g.inHeight) ||
+                                        sx >= static_cast<long>(g.inWidth)
+                                    ? 0.0f
+                                    : input.at4(b, c, sy, sx);
+                        }
+            }
+    return out;
+}
+
+Tensor
+refGemmOutputToActivation(const Tensor &y, const ConvGeometry &g)
+{
+    Tensor act({g.batch, g.outChannels, g.outHeight(), g.outWidth()});
+    size_t row = 0;
+    for (size_t b = 0; b < g.batch; ++b)
+        for (size_t yy = 0; yy < g.outHeight(); ++yy)
+            for (size_t xx = 0; xx < g.outWidth(); ++xx, ++row)
+                for (size_t c = 0; c < g.outChannels; ++c)
+                    act.at4(b, c, yy, xx) = y.at2(row, c);
+    return act;
+}
+
+Tensor
+refKernelToMatrix(const Tensor &kernel)
+{
+    const size_t m = kernel.shape().dim(0);
+    const size_t din = kernel.size() / m;
+    Tensor w({din, m});
+    for (size_t f = 0; f < m; ++f)
+        for (size_t d = 0; d < din; ++d)
+            w.at2(d, f) = kernel[f * din + d];
+    return w;
+}
+
+bool
+sameBytes(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(Im2col, LayoutTransformsMatchReferenceLoops)
+{
+    Rng rng(12);
+    // Non-square inputs, including ones narrower than the kernel that
+    // only fit with padding (pad >= kernel edge: whole rows and columns
+    // of the matrix are padding).
+    const std::pair<size_t, size_t> kInputs[] = {{5, 7}, {8, 3}, {1, 2},
+                                                 {6, 6}};
+    size_t checked = 0;
+    for (size_t batch : {size_t(1), size_t(3)})
+        for (size_t k : {size_t(1), size_t(3), size_t(5), size_t(7)})
+            for (size_t stride : {size_t(1), size_t(2)})
+                for (size_t pad = 0; pad <= 3; ++pad)
+                    for (auto [h, w] : kInputs) {
+                        ConvGeometry g = makeGeom(batch, 2, h, 3, k, stride,
+                                                  pad);
+                        g.inWidth = w;
+                        if (!g.valid())
+                            continue;
+                        Tensor input = Tensor::randomNormal(
+                            {batch, 2, h, w}, rng);
+                        ASSERT_TRUE(sameBytes(im2col(input, g),
+                                              refIm2col(input, g)))
+                            << "b=" << batch << " k=" << k << " s=" << stride
+                            << " pad=" << pad << " in=" << h << "x" << w;
+
+                        Tensor y = Tensor::randomNormal(
+                            {g.rows(), g.outChannels}, rng);
+                        Tensor act = gemmOutputToActivation(y, g);
+                        ASSERT_TRUE(
+                            sameBytes(act, refGemmOutputToActivation(y, g)));
+                        ASSERT_TRUE(
+                            sameBytes(activationToGemmOutput(act, g), y));
+                        ++checked;
+                    }
+    EXPECT_GT(checked, 100u);
+
+    for (auto [m, c, k] : {std::make_tuple(1, 1, 1), std::make_tuple(3, 2, 3),
+                           std::make_tuple(17, 5, 5),
+                           std::make_tuple(64, 32, 5)}) {
+        Tensor kernel = Tensor::randomNormal(
+            {size_t(m), size_t(c), size_t(k), size_t(k)}, rng);
+        Tensor w = kernelToMatrix(kernel);
+        ASSERT_TRUE(sameBytes(w, refKernelToMatrix(kernel)))
+            << "m=" << m << " c=" << c << " k=" << k;
+        ConvGeometry g = makeGeom(1, c, 8, m, k, 1, k / 2);
+        ASSERT_TRUE(sameBytes(matrixToKernel(w, g), kernel));
+    }
 }
 
 TEST(ConvGeometry, OutputDims)

@@ -8,13 +8,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 
 #include "nn/activation.h"
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
 #include "nn/loss.h"
+#include "nn/network.h"
 #include "nn/pooling.h"
+#include "nn/serialize.h"
+#include "nn/sgd.h"
+#include "quant/fixed_point.h"
 #include "tensor/tensor_ops.h"
 #include "test_util.h"
 
@@ -62,6 +68,102 @@ TEST(Conv2D, ForwardBiasApplied)
     EXPECT_EQ(y.shape(), Shape({1, 2, 2, 2}));
     EXPECT_FLOAT_EQ(y.at4(0, 0, 0, 0), 1.5f);
     EXPECT_FLOAT_EQ(y.at4(0, 1, 1, 1), -2.0f);
+}
+
+/** Forward of a freshly built conv carrying @p conv's parameters. */
+Tensor
+freshForward(Conv2D &conv, const Tensor &x)
+{
+    Rng rng(999);
+    Conv2D fresh("fresh", conv.inChannels(), conv.outChannels(),
+                 conv.kernelSize(), conv.stride(), conv.pad(), rng);
+    fresh.kernel().value = conv.kernel().value;
+    fresh.bias().value = conv.bias().value;
+    return fresh.forward(x, false);
+}
+
+bool
+bitIdentical(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/**
+ * Conv2D packs its weight matrix once and reuses it across forwards;
+ * every way the kernel can change must reach the next forward.
+ */
+class PackedWeights : public ::testing::Test
+{
+  protected:
+    PackedWeights() : x(Tensor::randomNormal({1, 3, 7, 6}, rng))
+    {
+        net.emplace<Conv2D>("c", 3, 5, 3, 1, 1, rng);
+        conv = net.convLayers()[0];
+    }
+
+    /** Forward, mutate, forward again: the second forward must match a
+     *  fresh conv built from the mutated parameters. */
+    template <typename Mutate>
+    void
+    check(Mutate mutate)
+    {
+        const Tensor before = conv->forward(x, false);
+        mutate();
+        const Tensor after = conv->forward(x, false);
+        EXPECT_FALSE(bitIdentical(before, after)) << "mutation was a no-op";
+        EXPECT_TRUE(bitIdentical(after, freshForward(*conv, x)));
+    }
+
+    Rng rng{21};
+    Network net{"packed"};
+    Conv2D *conv = nullptr;
+    Tensor x;
+};
+
+TEST_F(PackedWeights, KernelValueAssignment)
+{
+    check([&] {
+        conv->kernel().value = fakeQuantizeFixedPoint(conv->kernel().value);
+    });
+}
+
+TEST_F(PackedWeights, WriteThroughHeldReference)
+{
+    Tensor &k = conv->kernel().value;
+    check([&] { k[4] += 0.75f; });
+}
+
+TEST_F(PackedWeights, SgdStep)
+{
+    SgdConfig cfg;
+    cfg.learningRate = 0.1;
+    Sgd opt(net.params(), cfg);
+    check([&] {
+        Tensor y = conv->forward(x, true);
+        conv->backward(Tensor::full(y.shape(), 1.0f));
+        opt.step();
+    });
+}
+
+TEST_F(PackedWeights, LoadParameters)
+{
+    Rng other_rng(5);
+    Network other("packed");
+    other.emplace<Conv2D>("c", 3, 5, 3, 1, 1, other_rng);
+    const std::string path =
+        ::testing::TempDir() + "genreuse_packed_weights.bin";
+    saveParameters(other, path);
+    check([&] { loadParameters(net, path); });
+    std::remove(path.c_str());
+}
+
+TEST_F(PackedWeights, BatchNormFold)
+{
+    BatchNorm2D bn("bn", 5);
+    Rng bn_rng(6);
+    bn.params()[0]->value = Tensor::randomUniform({5}, bn_rng, 0.5f, 2.0f);
+    check([&] { bn.foldInto(*conv); });
 }
 
 TEST(Conv2D, InputGradientCheck)

@@ -2,7 +2,7 @@
  * @file
  * Parity matrix for the runtime SIMD dispatch layer (common/simd.h):
  * every entry of the ops table — gemmF32, gemmInt8, addInto,
- * scaleInPlace, signProject — is compared against the scalar oracle
+ * scaleInPlace, signProject, allFinite — is compared against the scalar oracle
  * over ragged shapes (sizes that are not multiples of any vector
  * width), plus the dispatch plumbing itself: level parsing, explicit
  * table selection, fallback for unavailable levels, and the
@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstring>
 #include <gtest/gtest.h>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -86,6 +87,7 @@ TEST(SimdDispatch, TablesAreComplete)
         EXPECT_NE(t.addInto, nullptr);
         EXPECT_NE(t.scaleInPlace, nullptr);
         EXPECT_NE(t.signProject, nullptr);
+        EXPECT_NE(t.allFinite, nullptr);
         if (!simd::available(lvl)) {
             // Unavailable levels fall back to the scalar oracle.
             EXPECT_EQ(t.level, simd::Level::Scalar);
@@ -176,6 +178,100 @@ TEST(SimdParity, GemmF32StridedLeadingDims)
     // columns bit-identical.
     EXPECT_EQ(std::memcmp(c0.data(), c1.data(), c0.size() * sizeof(float)),
               0);
+}
+
+TEST(SimdParity, GemmF32NarrowNSignProjectionShape)
+{
+    // The LSH sign projection: 256 items read in place from a
+    // 1600-wide im2col matrix, projected onto n < 8 hash vectors. The
+    // whole C buffer is compared, so a masked store that touched a
+    // padding column would show.
+    const simd::Ops &scalar = simd::opsFor(simd::Level::Scalar);
+    const simd::Ops &vec = simd::opsFor(simd::detect());
+    Rng rng(17);
+    const size_t m = 256, lda = 1600;
+    std::vector<float> a = randomFloats(m * lda, rng);
+    // An infinite input makes 0 * a[i][p] NaN in any lane past n, so a
+    // kernel that stored such a lane would change a padding column.
+    a[5 * lda + 2] = std::numeric_limits<float>::infinity();
+    for (size_t k : {size_t(9), size_t(25)}) {
+        for (size_t n = 1; n <= 7; ++n) {
+            const size_t ldc = n + 3;
+            std::vector<float> b = randomFloats(k * n, rng);
+            std::vector<float> seed = randomFloats(m * ldc, rng);
+            for (bool accumulate : {false, true}) {
+                std::vector<float> c0 = seed, c1 = seed;
+                scalar.gemmF32(a.data(), b.data(), c0.data(), m, n, k, lda,
+                               n, ldc, accumulate);
+                vec.gemmF32(a.data(), b.data(), c1.data(), m, n, k, lda, n,
+                            ldc, accumulate);
+                ASSERT_EQ(std::memcmp(c0.data(), c1.data(),
+                                      c0.size() * sizeof(float)),
+                          0)
+                    << "n=" << n << " k=" << k << " acc=" << accumulate;
+            }
+        }
+    }
+}
+
+TEST(SimdParity, GemmF32ColumnRemainders)
+{
+    // n past a vector width with a ragged tail, and row counts that
+    // are not multiples of the four-row remainder tile.
+    const simd::Ops &scalar = simd::opsFor(simd::Level::Scalar);
+    const simd::Ops &vec = simd::opsFor(simd::detect());
+    Rng rng(18);
+    for (size_t m : {size_t(1), size_t(5), size_t(70)}) {
+        for (size_t n : {size_t(9), size_t(12), size_t(39), size_t(300)}) {
+            const size_t k = 11, ldb = n + 2, ldc = n + 5;
+            std::vector<float> a = randomFloats(m * k, rng);
+            std::vector<float> b = randomFloats(k * ldb, rng);
+            std::vector<float> c0 = randomFloats(m * ldc, rng), c1 = c0;
+            scalar.gemmF32(a.data(), b.data(), c0.data(), m, n, k, k, ldb,
+                           ldc, true);
+            vec.gemmF32(a.data(), b.data(), c1.data(), m, n, k, k, ldb,
+                        ldc, true);
+            ASSERT_EQ(std::memcmp(c0.data(), c1.data(),
+                                  c0.size() * sizeof(float)),
+                      0)
+                << "m=" << m << " n=" << n;
+        }
+    }
+}
+
+TEST(SimdParity, AllFiniteMatchesOracle)
+{
+    const simd::Ops &scalar = simd::opsFor(simd::Level::Scalar);
+    const simd::Ops &vec = simd::opsFor(simd::detect());
+    const float kBad[] = {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()};
+    Rng rng(19);
+    // Sizes around the 8-float vector and 32-float step, so a planted
+    // value lands in the head, the tail and every lane position.
+    for (size_t n : {size_t(0), size_t(1), size_t(7), size_t(8), size_t(31),
+                     size_t(32), size_t(33), size_t(71), size_t(100)}) {
+        std::vector<float> v = randomFloats(n, rng);
+        // Extreme but finite values must not trip the scan.
+        if (n >= 4) {
+            v[0] = std::numeric_limits<float>::max();
+            v[1] = -std::numeric_limits<float>::max();
+            v[2] = std::numeric_limits<float>::denorm_min();
+            v[3] = -0.0f;
+        }
+        EXPECT_TRUE(scalar.allFinite(v.data(), n)) << "n=" << n;
+        EXPECT_TRUE(vec.allFinite(v.data(), n)) << "n=" << n;
+        for (size_t i = 0; i < n; ++i) {
+            for (float bad : kBad) {
+                const float saved = v[i];
+                v[i] = bad;
+                EXPECT_FALSE(scalar.allFinite(v.data(), n));
+                ASSERT_FALSE(vec.allFinite(v.data(), n))
+                    << "n=" << n << " i=" << i << " value=" << bad;
+                v[i] = saved;
+            }
+        }
+    }
 }
 
 TEST(SimdParity, GemmInt8Ragged)

@@ -2,12 +2,21 @@
  * @file
  * Tests for the vertical (deep) reuse GEMM: exactness on perfectly
  * redundant inputs, bounded error on noisy inputs, slicing plans,
- * 2-D neuron blocks, remainder handling, statistics and cost ledgers.
+ * 2-D neuron blocks, remainder handling, statistics and cost ledgers,
+ * and bit-exactness of the row-outer recovery and the per-slice weight
+ * row gather against their straightforward formulations.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <numeric>
+#include <random>
+
+#include "core/reorder.h"
 #include "core/vertical_reuse.h"
+#include "lsh/clustering.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
 #include "test_util.h"
@@ -29,6 +38,92 @@ TEST(VerticalSlicing, PlanMath)
     VerticalSlicing whole = VerticalSlicing::plan(75, 0, 1);
     EXPECT_EQ(whole.numSlices, 1u);
     EXPECT_EQ(whole.width(0, 75), 75u);
+}
+
+bool
+sameBytes(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/**
+ * Slice-at-a-time reference for single-row items: y starts at zero and
+ * every slice adds its centroid products to all rows before the next
+ * slice starts.
+ */
+Tensor
+sliceAtATime(const Tensor &x, const Tensor &w, const VerticalSlicing &s,
+             const std::vector<HashFamily> &fams)
+{
+    const size_t n = x.shape().rows(), din = x.shape().cols();
+    const size_t m = w.shape().cols();
+    Tensor y({n, m});
+    for (size_t k = 0; k < s.numSlices; ++k) {
+        const size_t col0 = k * s.sliceWidth, width = s.width(k, din);
+        StridedItems items{x.data() + col0, n, width, din, 1};
+        ClusterResult c = clusterBySignature(items, fams[k]);
+        Tensor yc({c.numClusters(), m});
+        gemmRaw(c.centroids.data(), w.data() + col0 * m, yc.data(),
+                c.numClusters(), m, width, width, m, m, false);
+        for (size_t r = 0; r < n; ++r)
+            for (size_t j = 0; j < m; ++j)
+                y.at2(r, j) += yc.at2(c.assignments[r], j);
+    }
+    return y;
+}
+
+TEST(VerticalReuse, RowOuterRecoveryMatchesSliceAtATime)
+{
+    Rng rng(31);
+    // Even and ragged slicings, and a slice wider than one GEMM k-block.
+    for (auto [din, l] : {std::pair<size_t, size_t>{75, 25}, {75, 20},
+                          {600, 300}}) {
+        Tensor x = test::redundantRows(96, din, 6, rng, 0.05f);
+        Tensor w = Tensor::randomNormal({din, 13}, rng);
+        VerticalSlicing s = VerticalSlicing::plan(din, l, 1);
+        auto fams = randomVerticalFamilies(s, din, 4, rng);
+        Tensor y = verticalReuseMultiply(x, w, s, fams, nullptr, nullptr);
+        EXPECT_TRUE(sameBytes(y, sliceAtATime(x, w, s, fams)))
+            << "din=" << din << " L=" << l;
+    }
+}
+
+TEST(VerticalReuse, GatheredWeightRowsMatchPermutedWeights)
+{
+    // A column-reordered pattern: x's column c pairs with w's row
+    // perm[c]. Reading each slice's rows through the permutation —
+    // gathered, or in place when they are evenly spaced — must give
+    // the bytes the pre-permuted weight matrix gives.
+    Rng rng(32);
+    const size_t channels = 8, din = channels * 9, m = 11;
+    std::vector<uint32_t> shuffled(din);
+    std::iota(shuffled.begin(), shuffled.end(), 0u);
+    std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937(7));
+    // Pixel-major order of a 3x3 kernel: runs of channels at stride 9.
+    std::vector<uint32_t> pixel_major(din);
+    for (size_t pix = 0; pix < 9; ++pix)
+        for (size_t ch = 0; ch < channels; ++ch)
+            pixel_major[pix * channels + ch] =
+                static_cast<uint32_t>(ch * 9 + pix);
+    Tensor w = Tensor::randomNormal({din, m}, rng);
+    for (const auto &perm : {shuffled, pixel_major}) {
+        Tensor w_perm = permuteRows(w, perm);
+        for (size_t l : {size_t(9), size_t(4), size_t(1)}) {
+            for (size_t block_rows : {size_t(1), size_t(2)}) {
+                Tensor x = test::redundantRows(50, din, 5, rng, 0.05f);
+                VerticalSlicing s = VerticalSlicing::plan(din, l, block_rows);
+                auto fams = randomVerticalFamilies(s, din, 4, rng);
+                Tensor gathered, permuted;
+                verticalReuseMultiplyInto(x, w, s, fams, nullptr, nullptr,
+                                          gathered, perm.data());
+                verticalReuseMultiplyInto(x, w_perm, s, fams, nullptr,
+                                          nullptr, permuted);
+                EXPECT_TRUE(sameBytes(gathered, permuted))
+                    << "L=" << l << " block_rows=" << block_rows;
+            }
+        }
+    }
 }
 
 TEST(VerticalReuse, ExactWhenRowsPerfectlyRedundant)
