@@ -1,7 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the hot kernels underneath the
- * paper reproduction: blocked GEMM, im2col, im2col reordering, LSH
+ * paper reproduction: blocked GEMM, im2col, 1x1 conv eval forwards at
+ * SqueezeNet Fire shapes, im2col reordering, LSH
  * signatures/clustering, and the vertical/horizontal reuse GEMMs
  * against the exact GEMM on redundant inputs. These are wall-clock
  * numbers of this host library (the MCU latencies in the table/figure
@@ -31,6 +32,7 @@
 #include "core/vertical_reuse.h"
 #include "data/synthetic.h"
 #include "lsh/clustering.h"
+#include "nn/conv2d.h"
 #include "quant/int8_quant.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
@@ -89,6 +91,27 @@ BM_Im2colCifar(benchmark::State &state)
     }
 }
 BENCHMARK(BM_Im2colCifar);
+
+void
+BM_PointwiseConvEval(benchmark::State &state)
+{
+    // Eval forward of a 1x1 exact conv at SqueezeNet Fire shapes
+    // (Cin -> Cout @ H*W): one K x X GEMM per image on the NCHW planes.
+    const size_t cin = state.range(0), cout = state.range(1);
+    const size_t side = static_cast<size_t>(state.range(2));
+    Rng rng(3);
+    Conv2D conv("pointwise", cin, cout, 1, 1, 0, rng);
+    Tensor x = Tensor::randomNormal({1, cin, side, side}, rng);
+    for (auto _ : state) {
+        Tensor y = conv.forward(x, false);
+        benchmark::DoNotOptimize(y.data());
+    }
+    state.SetItemsProcessed(state.iterations() * cin * cout * side * side);
+}
+BENCHMARK(BM_PointwiseConvEval)
+    ->Args({64, 16, 16})  // Fire2 squeeze @ 16x16
+    ->Args({384, 64, 4})  // Fire8 squeeze @ 4x4
+    ->Args({16, 64, 16}); // Fire2 expand_1x1 @ 16x16
 
 void
 BM_ColumnReorderPixelMajor(benchmark::State &state)

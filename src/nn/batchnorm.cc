@@ -28,40 +28,52 @@ BatchNorm2D::forward(const Tensor &x, bool training)
     const size_t hw = s.height() * s.width();
     const size_t per_channel = s.batch() * hw;
 
-    Tensor mean({channels_}), var({channels_});
-    if (training) {
+    Tensor y(s);
+    if (!training) {
+        // Running statistics; nothing is cached, since backward() only
+        // follows a training forward.
         for (size_t c = 0; c < channels_; ++c) {
-            double m = 0.0;
+            const float mu = runningMean_[c];
+            const float is = 1.0f / std::sqrt(runningVar_[c] + eps_);
+            const float g = gamma_.value[c], bt = beta_.value[c];
             for (size_t b = 0; b < s.batch(); ++b) {
-                const float *p =
-                    x.data() + (b * channels_ + c) * hw;
-                for (size_t i = 0; i < hw; ++i)
-                    m += p[i];
-            }
-            m /= static_cast<double>(per_channel);
-            double v = 0.0;
-            for (size_t b = 0; b < s.batch(); ++b) {
-                const float *p =
-                    x.data() + (b * channels_ + c) * hw;
+                const float *px = x.data() + (b * channels_ + c) * hw;
+                float *py = y.data() + (b * channels_ + c) * hw;
                 for (size_t i = 0; i < hw; ++i) {
-                    double d = p[i] - m;
-                    v += d * d;
+                    const float xn = (px[i] - mu) * is;
+                    py[i] = g * xn + bt;
                 }
             }
-            v /= static_cast<double>(per_channel);
-            mean[c] = static_cast<float>(m);
-            var[c] = static_cast<float>(v);
-            runningMean_[c] =
-                momentum_ * runningMean_[c] + (1.0f - momentum_) * mean[c];
-            runningVar_[c] =
-                momentum_ * runningVar_[c] + (1.0f - momentum_) * var[c];
         }
-    } else {
-        mean = runningMean_;
-        var = runningVar_;
+        return y;
     }
 
-    Tensor y(s);
+    Tensor mean({channels_}), var({channels_});
+    for (size_t c = 0; c < channels_; ++c) {
+        double m = 0.0;
+        for (size_t b = 0; b < s.batch(); ++b) {
+            const float *p = x.data() + (b * channels_ + c) * hw;
+            for (size_t i = 0; i < hw; ++i)
+                m += p[i];
+        }
+        m /= static_cast<double>(per_channel);
+        double v = 0.0;
+        for (size_t b = 0; b < s.batch(); ++b) {
+            const float *p = x.data() + (b * channels_ + c) * hw;
+            for (size_t i = 0; i < hw; ++i) {
+                double d = p[i] - m;
+                v += d * d;
+            }
+        }
+        v /= static_cast<double>(per_channel);
+        mean[c] = static_cast<float>(m);
+        var[c] = static_cast<float>(v);
+        runningMean_[c] =
+            momentum_ * runningMean_[c] + (1.0f - momentum_) * mean[c];
+        runningVar_[c] =
+            momentum_ * runningVar_[c] + (1.0f - momentum_) * var[c];
+    }
+
     Tensor inv_std({channels_});
     for (size_t c = 0; c < channels_; ++c)
         inv_std[c] = 1.0f / std::sqrt(var[c] + eps_);
@@ -82,12 +94,10 @@ BatchNorm2D::forward(const Tensor &x, bool training)
         }
     }
 
-    if (training) {
-        cachedXHat_ = std::move(xhat);
-        cachedInvStd_ = std::move(inv_std);
-        cachedShape_ = s;
-        haveCache_ = true;
-    }
+    cachedXHat_ = std::move(xhat);
+    cachedInvStd_ = std::move(inv_std);
+    cachedShape_ = s;
+    haveCache_ = true;
     return y;
 }
 

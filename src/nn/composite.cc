@@ -1,12 +1,18 @@
 #include "composite.h"
 
+#include <cstring>
+
 #include "common/logging.h"
 
 namespace genreuse {
 
 namespace {
 
-/** Concatenate two NCHW tensors along the channel dimension. */
+/**
+ * Concatenate two NCHW tensors along the channel dimension. A channel
+ * range of one image is one contiguous block, so each image is two
+ * block copies.
+ */
 Tensor
 concatChannels(const Tensor &a, const Tensor &b)
 {
@@ -18,15 +24,12 @@ concatChannels(const Tensor &a, const Tensor &b)
                      sb.toString());
     Tensor out({sa.batch(), sa.channels() + sb.channels(), sa.height(),
                 sa.width()});
-    for (size_t n = 0; n < sa.batch(); ++n) {
-        for (size_t c = 0; c < sa.channels(); ++c)
-            for (size_t h = 0; h < sa.height(); ++h)
-                for (size_t w = 0; w < sa.width(); ++w)
-                    out.at4(n, c, h, w) = a.at4(n, c, h, w);
-        for (size_t c = 0; c < sb.channels(); ++c)
-            for (size_t h = 0; h < sb.height(); ++h)
-                for (size_t w = 0; w < sb.width(); ++w)
-                    out.at4(n, sa.channels() + c, h, w) = b.at4(n, c, h, w);
+    const size_t hw = sa.height() * sa.width();
+    const size_t na = sa.channels() * hw, nb = sb.channels() * hw;
+    float *dst = out.data();
+    for (size_t n = 0; n < sa.batch(); ++n, dst += na + nb) {
+        std::memcpy(dst, a.data() + n * na, na * sizeof(float));
+        std::memcpy(dst + na, b.data() + n * nb, nb * sizeof(float));
     }
     return out;
 }
@@ -38,11 +41,11 @@ sliceChannels(const Tensor &x, size_t from, size_t count)
     const Shape &s = x.shape();
     GENREUSE_REQUIRE(from + count <= s.channels(), "channel slice overflow");
     Tensor out({s.batch(), count, s.height(), s.width()});
+    const size_t hw = s.height() * s.width();
     for (size_t n = 0; n < s.batch(); ++n)
-        for (size_t c = 0; c < count; ++c)
-            for (size_t h = 0; h < s.height(); ++h)
-                for (size_t w = 0; w < s.width(); ++w)
-                    out.at4(n, c, h, w) = x.at4(n, from + c, h, w);
+        std::memcpy(out.data() + n * count * hw,
+                    x.data() + (n * s.channels() + from) * hw,
+                    count * hw * sizeof(float));
     return out;
 }
 
@@ -230,8 +233,11 @@ ResidualBlock::forward(const Tensor &x, bool training)
     main = relu1_->forward(main, training);
     main = bn2_->forward(conv2_->forward(main, training), training);
 
-    Tensor shortcut =
-        proj_ ? projBn_->forward(proj_->forward(x, training), training) : x;
+    Tensor projected;
+    if (proj_)
+        projected =
+            projBn_->forward(proj_->forward(x, training), training);
+    const Tensor &shortcut = proj_ ? projected : x;
     GENREUSE_REQUIRE(shortcut.size() == main.size(),
                      "residual shape mismatch in ", name());
     for (size_t i = 0; i < main.size(); ++i)

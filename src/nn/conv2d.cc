@@ -96,6 +96,9 @@ Conv2D::forward(const Tensor &x, bool training)
     // name into postmortem dumps.
     eventlog::LayerScope escope(name());
     ConvGeometry geom = geometry(x.shape());
+    if (!training && kernelSize_ == 1 && stride_ == 1 && pad_ == 0 &&
+        dynamic_cast<const ExactConvAlgo *>(algo_.get()) != nullptr)
+        return forwardPointwise(x, geom);
     Tensor cols = [&] {
         profiler::ProfSpan span("conv.im2col");
         return im2col(x, geom);
@@ -121,17 +124,71 @@ Conv2D::forward(const Tensor &x, bool training)
         reportOps(ledger_, Stage::Recovering, ops);
     }
 
-    if (training) {
-        cachedX_ = std::move(cols);
-        cachedGeom_ = geom;
-        haveCache_ = true;
-    } else {
-        // Keep the im2col matrix for hash-family fitting as well.
-        cachedX_ = std::move(cols);
-        cachedGeom_ = geom;
-        haveCache_ = false;
-    }
+    // Backward needs the im2col matrix; eval keeps it for hash fitting.
+    cachedX_ = std::move(cols);
+    im2colPending_ = false;
+    cachedGeom_ = geom;
+    haveCache_ = training;
     return gemmOutputToActivation(y, geom);
+}
+
+Tensor
+Conv2D::forwardPointwise(const Tensor &x, const ConvGeometry &geom)
+{
+    // In NCHW each image is a (Cin x HW) matrix and the kernel is
+    // (Cout x Cin), so the conv is K x X per image with no im2col and
+    // no output transpose. Every output element still sees the same
+    // k-blocks over Cin in the same order as in the (HW x Cin) x
+    // (Cin x Cout) product, with the factors of each product swapped,
+    // so the result is bit-identical. The ledger reports the im2col
+    // path's counts: it models the MCU kernel, not this host shortcut.
+    const size_t cin = inChannels_, cout = outChannels_;
+    const size_t hw = geom.inHeight * geom.inWidth;
+    {
+        OpCounts ops;
+        ops.elemMoves = x.size();
+        reportOps(ledger_, Stage::Transformation, ops);
+    }
+    Tensor out({geom.batch, cout, geom.outHeight(), geom.outWidth()});
+    {
+        profiler::ProfSpan span("exact.gemm");
+        for (size_t b = 0; b < geom.batch; ++b)
+            gemmRaw(kernel_.value.data(), x.data() + b * cin * hw,
+                    out.data() + b * cout * hw, cout, hw, cin, cin, hw, hw,
+                    false);
+        OpCounts ops;
+        ops.macs = geom.macs();
+        reportOps(ledger_, Stage::Gemm, ops);
+    }
+    {
+        profiler::ProfSpan span("conv.bias");
+        float *row = out.data();
+        for (size_t b = 0; b < geom.batch; ++b)
+            for (size_t c = 0; c < cout; ++c, row += hw) {
+                const float bc = bias_.value[c];
+                for (size_t p = 0; p < hw; ++p)
+                    row[p] += bc;
+            }
+        OpCounts ops;
+        ops.aluOps = out.size();
+        ops.elemMoves = out.size();
+        reportOps(ledger_, Stage::Recovering, ops);
+    }
+    cachedX_ = x;
+    im2colPending_ = true;
+    cachedGeom_ = geom;
+    haveCache_ = false;
+    return out;
+}
+
+const Tensor &
+Conv2D::lastIm2col() const
+{
+    if (im2colPending_) {
+        cachedX_ = im2col(cachedX_, cachedGeom_);
+        im2colPending_ = false;
+    }
+    return cachedX_;
 }
 
 Tensor

@@ -1,6 +1,7 @@
 /**
  * @file
- * im2col-GEMM convolution with a pluggable multiplication strategy.
+ * im2col-GEMM convolution with a pluggable multiplication strategy
+ * (1x1 exact eval forwards skip im2col and multiply the NCHW planes).
  * The exact strategy is a plain blocked GEMM; the reuse engine
  * (src/core) supplies alternative strategies that cluster the im2col
  * rows/columns and multiply centroids only. Backward always uses exact
@@ -43,8 +44,12 @@ class ConvAlgo
     virtual std::string describe() const = 0;
 };
 
-/** The exact GEMM strategy (CMSIS-NN style baseline). */
-class ExactConvAlgo : public ConvAlgo
+/**
+ * The exact GEMM strategy (CMSIS-NN style baseline). Final because
+ * Conv2D recognizes it to run 1x1 eval forwards without im2col; any
+ * other strategy, wrappers included, gets the im2col matrix.
+ */
+class ExactConvAlgo final : public ConvAlgo
 {
   public:
     Tensor multiply(const Tensor &x, const Tensor &w,
@@ -115,8 +120,12 @@ class Conv2D : public Layer
      */
     void setLedger(CostLedger *ledger) { ledger_ = ledger; }
 
-    /** im2col matrix of the last forward() input (for hash learning). */
-    const Tensor &lastIm2col() const { return cachedX_; }
+    /**
+     * im2col matrix of the last forward() input (for hash learning).
+     * A 1x1 exact eval forward skips im2col and keeps its input
+     * instead; the matrix is built from it on the first call here.
+     */
+    const Tensor &lastIm2col() const;
 
     /** Geometry of the last forward() input. */
     const ConvGeometry &lastGeometry() const { return cachedGeom_; }
@@ -133,14 +142,20 @@ class Conv2D : public Layer
     std::shared_ptr<ConvAlgo> algo_;
     CostLedger *ledger_ = nullptr;
 
+    /** Eval forward of a 1x1/stride-1/pad-0 conv running the exact
+     *  strategy, as one GEMM per image on the NCHW planes. */
+    Tensor forwardPointwise(const Tensor &x, const ConvGeometry &geom);
+
     /** kernelToMatrix(kernel_.value), repacked only when the kernel
      *  differs from packedFrom_, the copy it was packed from. */
     const Tensor &packedWeights();
     Tensor packedW_;
     Tensor packedFrom_;
 
-    // Caches for backward.
-    Tensor cachedX_;
+    // Caches for backward and lastIm2col(). cachedX_ holds the forward
+    // input instead of its im2col matrix while im2colPending_ is set.
+    mutable Tensor cachedX_;
+    mutable bool im2colPending_ = false;
     ConvGeometry cachedGeom_;
     bool haveCache_ = false;
 };

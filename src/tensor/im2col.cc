@@ -109,28 +109,41 @@ col2im(const Tensor &cols, const ConvGeometry &geom)
                      "col2im input shape ", cols.shape().toString(),
                      " mismatches geometry");
 
+    // The walk mirrors im2col(): rows in order, and within a row only
+    // the in-image kernel columns [kw0, kw1) of in-image kernel rows.
+    // Each input element gets at most one term per row, so the terms
+    // still arrive in row order.
     const size_t oh = geom.outHeight(), ow = geom.outWidth();
-    Tensor out({geom.batch, geom.inChannels, geom.inHeight, geom.inWidth});
-    size_t row = 0;
+    const size_t ih = geom.inHeight, iw = geom.inWidth;
+    const size_t kh_n = geom.kernelH, kw_n = geom.kernelW;
+    const size_t plane = ih * iw;
+    Tensor out({geom.batch, geom.inChannels, ih, iw});
+    const float *src = cols.data();
     for (size_t b = 0; b < geom.batch; ++b) {
+        float *img = out.data() + b * geom.inChannels * plane;
         for (size_t y = 0; y < oh; ++y) {
-            for (size_t x = 0; x < ow; ++x, ++row) {
-                const float *src = cols.data() + row * geom.cols();
-                size_t col = 0;
+            for (size_t x = 0; x < ow; ++x) {
+                const long sx0 = static_cast<long>(x * geom.stride) -
+                                 static_cast<long>(geom.pad);
+                const size_t kw0 =
+                    sx0 < 0 ? std::min(kw_n, static_cast<size_t>(-sx0)) : 0;
+                const long hi = static_cast<long>(iw) - sx0;
+                const size_t kw1 =
+                    hi <= static_cast<long>(kw0)
+                        ? kw0
+                        : std::min(kw_n, static_cast<size_t>(hi));
                 for (size_t c = 0; c < geom.inChannels; ++c) {
-                    for (size_t kh = 0; kh < geom.kernelH; ++kh) {
-                        long sy = static_cast<long>(y * geom.stride + kh) -
-                                  static_cast<long>(geom.pad);
-                        for (size_t kw = 0; kw < geom.kernelW; ++kw, ++col) {
-                            long sx =
-                                static_cast<long>(x * geom.stride + kw) -
-                                static_cast<long>(geom.pad);
-                            if (sy >= 0 && sx >= 0 &&
-                                sy < static_cast<long>(geom.inHeight) &&
-                                sx < static_cast<long>(geom.inWidth)) {
-                                out.at4(b, c, sy, sx) += src[col];
-                            }
-                        }
+                    float *chan = img + c * plane;
+                    for (size_t kh = 0; kh < kh_n; ++kh, src += kw_n) {
+                        const long sy = static_cast<long>(y * geom.stride +
+                                                          kh) -
+                                        static_cast<long>(geom.pad);
+                        if (sy < 0 || sy >= static_cast<long>(ih))
+                            continue;
+                        float *dst = chan + static_cast<size_t>(sy) * iw;
+                        for (size_t kw = kw0; kw < kw1; ++kw)
+                            dst[static_cast<size_t>(
+                                sx0 + static_cast<long>(kw))] += src[kw];
                     }
                 }
             }

@@ -9,8 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
 #include "tensor/tensor_ops.h"
@@ -18,6 +16,8 @@
 
 namespace genreuse {
 namespace {
+
+using test::sameBytes;
 
 ConvGeometry
 makeGeom(size_t b, size_t c, size_t hw, size_t m, size_t k, size_t stride,
@@ -101,6 +101,31 @@ refIm2col(const Tensor &input, const ConvGeometry &g)
 }
 
 Tensor
+refCol2im(const Tensor &cols, const ConvGeometry &g)
+{
+    Tensor out({g.batch, g.inChannels, g.inHeight, g.inWidth});
+    size_t row = 0;
+    for (size_t b = 0; b < g.batch; ++b)
+        for (size_t y = 0; y < g.outHeight(); ++y)
+            for (size_t x = 0; x < g.outWidth(); ++x, ++row) {
+                size_t col = 0;
+                for (size_t c = 0; c < g.inChannels; ++c)
+                    for (size_t kh = 0; kh < g.kernelH; ++kh)
+                        for (size_t kw = 0; kw < g.kernelW; ++kw, ++col) {
+                            long sy = static_cast<long>(y * g.stride + kh) -
+                                      static_cast<long>(g.pad);
+                            long sx = static_cast<long>(x * g.stride + kw) -
+                                      static_cast<long>(g.pad);
+                            if (sy >= 0 && sx >= 0 &&
+                                sy < static_cast<long>(g.inHeight) &&
+                                sx < static_cast<long>(g.inWidth))
+                                out.at4(b, c, sy, sx) += cols.at2(row, col);
+                        }
+            }
+    return out;
+}
+
+Tensor
 refGemmOutputToActivation(const Tensor &y, const ConvGeometry &g)
 {
     Tensor act({g.batch, g.outChannels, g.outHeight(), g.outWidth()});
@@ -123,13 +148,6 @@ refKernelToMatrix(const Tensor &kernel)
         for (size_t d = 0; d < din; ++d)
             w.at2(d, f) = kernel[f * din + d];
     return w;
-}
-
-bool
-sameBytes(const Tensor &a, const Tensor &b)
-{
-    return a.shape() == b.shape() &&
-           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
 TEST(Im2col, LayoutTransformsMatchReferenceLoops)
@@ -157,6 +175,12 @@ TEST(Im2col, LayoutTransformsMatchReferenceLoops)
                                               refIm2col(input, g)))
                             << "b=" << batch << " k=" << k << " s=" << stride
                             << " pad=" << pad << " in=" << h << "x" << w;
+                        Tensor grad_cols =
+                            Tensor::randomNormal({g.rows(), g.cols()}, rng);
+                        ASSERT_TRUE(sameBytes(col2im(grad_cols, g),
+                                              refCol2im(grad_cols, g)))
+                            << "col2im b=" << batch << " k=" << k
+                            << " s=" << stride << " pad=" << pad;
 
                         Tensor y = Tensor::randomNormal(
                             {g.rows(), g.outChannels}, rng);

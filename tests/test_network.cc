@@ -1,10 +1,14 @@
 /**
  * @file
  * Tests for Network, composite blocks (Fire, ResidualBlock), SGD, the
- * trainer, and the model factories.
+ * trainer, and the model factories, including bit-identity of Fire and
+ * whole networks against the im2col conv path and element-loop concat.
  */
 
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <memory>
 
 #include "data/synthetic.h"
 #include "models/models.h"
@@ -16,6 +20,8 @@
 
 namespace genreuse {
 namespace {
+
+using test::sameBytes;
 
 TEST(Network, ForwardShapesThroughCifarNet)
 {
@@ -135,6 +141,223 @@ TEST(Fire, GradientCheckThroughModule)
     fire.forward(x, true);
     Tensor gx = fire.backward(lw);
     EXPECT_LT(test::gradientCheck(f, x, gx, rng, 10, 1e-3), 0.05);
+}
+
+/** The element-by-element channel concat Fire used before block copies. */
+Tensor
+refConcatChannels(const Tensor &a, const Tensor &b)
+{
+    const Shape &sa = a.shape(), &sb = b.shape();
+    Tensor out({sa.batch(), sa.channels() + sb.channels(), sa.height(),
+                sa.width()});
+    for (size_t n = 0; n < sa.batch(); ++n) {
+        for (size_t c = 0; c < sa.channels(); ++c)
+            for (size_t h = 0; h < sa.height(); ++h)
+                for (size_t w = 0; w < sa.width(); ++w)
+                    out.at4(n, c, h, w) = a.at4(n, c, h, w);
+        for (size_t c = 0; c < sb.channels(); ++c)
+            for (size_t h = 0; h < sb.height(); ++h)
+                for (size_t w = 0; w < sb.width(); ++w)
+                    out.at4(n, sa.channels() + c, h, w) = b.at4(n, c, h, w);
+    }
+    return out;
+}
+
+/** The element-by-element channel slice Fire backward used before. */
+Tensor
+refSliceChannels(const Tensor &x, size_t from, size_t count)
+{
+    const Shape &s = x.shape();
+    Tensor out({s.batch(), count, s.height(), s.width()});
+    for (size_t n = 0; n < s.batch(); ++n)
+        for (size_t c = 0; c < count; ++c)
+            for (size_t h = 0; h < s.height(); ++h)
+                for (size_t w = 0; w < s.width(); ++w)
+                    out.at4(n, c, h, w) = x.at4(n, from + c, h, w);
+    return out;
+}
+
+/** Delegates to the exact strategy; not ExactConvAlgo itself, so a
+ *  conv running it always takes the im2col path. */
+class WrappedExact : public ConvAlgo
+{
+  public:
+    Tensor
+    multiply(const Tensor &x, const Tensor &w, const ConvGeometry &geom,
+             CostLedger *ledger) override
+    {
+        return exact_.multiply(x, w, geom, ledger);
+    }
+
+    std::string describe() const override { return "wrapped-exact"; }
+
+  private:
+    ExactConvAlgo exact_;
+};
+
+/**
+ * A Fire module rebuilt from standalone layers, composed the way
+ * FireModule was before its concat and slice became block copies.
+ * Every conv is wrapped so it always takes the im2col path.
+ */
+struct FireReference
+{
+    FireReference(FireModule &fire, size_t in, size_t sq, size_t e1,
+                  size_t e3, bool bn, Rng &rng)
+        : squeeze("s", in, sq, 1, 1, 0, rng),
+          expand1("e1", sq, e1, 1, 1, 0, rng),
+          expand3("e3", sq, e3, 3, 1, 1, rng), bypass(fire.hasBypass())
+    {
+        if (bn) {
+            bns[0] = std::make_unique<BatchNorm2D>("bs", sq);
+            bns[1] = std::make_unique<BatchNorm2D>("b1", e1);
+            bns[2] = std::make_unique<BatchNorm2D>("b3", e3);
+        }
+        std::vector<Param *> mine = params(), theirs = fire.params();
+        EXPECT_EQ(mine.size(), theirs.size());
+        for (size_t i = 0; i < mine.size(); ++i)
+            mine[i]->value = theirs[i]->value;
+        for (Conv2D *c : {&squeeze, &expand1, &expand3})
+            c->setAlgo(std::make_shared<WrappedExact>());
+    }
+
+    std::vector<Param *>
+    params()
+    {
+        std::vector<Param *> out;
+        std::vector<Layer *> layers = {&squeeze, &expand1, &expand3};
+        for (auto &bn : bns)
+            if (bn)
+                layers.push_back(bn.get());
+        for (Layer *l : layers)
+            for (Param *p : l->params())
+                out.push_back(p);
+        return out;
+    }
+
+    /** conv -> [bn] -> relu, as FireModule composes each branch. */
+    Tensor
+    branch(Conv2D &conv, size_t i, const Tensor &x, bool training)
+    {
+        Tensor y = conv.forward(x, training);
+        if (bns[i])
+            y = bns[i]->forward(y, training);
+        return relus[i].forward(y, training);
+    }
+
+    Tensor
+    forward(const Tensor &x, bool training)
+    {
+        Tensor s = branch(squeeze, 0, x, training);
+        Tensor out = refConcatChannels(branch(expand1, 1, s, training),
+                                       branch(expand3, 2, s, training));
+        if (bypass)
+            for (size_t i = 0; i < out.size(); ++i)
+                out[i] += x[i];
+        return out;
+    }
+
+    Tensor
+    backwardBranch(Conv2D &conv, size_t i, const Tensor &g)
+    {
+        Tensor gi = relus[i].backward(g);
+        if (bns[i])
+            gi = bns[i]->backward(gi);
+        return conv.backward(gi);
+    }
+
+    Tensor
+    backward(const Tensor &grad_out)
+    {
+        const size_t c1 = expand1.outChannels(), c3 = expand3.outChannels();
+        Tensor gs1 =
+            backwardBranch(expand1, 1, refSliceChannels(grad_out, 0, c1));
+        Tensor gs3 =
+            backwardBranch(expand3, 2, refSliceChannels(grad_out, c1, c3));
+        for (size_t i = 0; i < gs1.size(); ++i)
+            gs1[i] += gs3[i];
+        Tensor gx = backwardBranch(squeeze, 0, gs1);
+        if (bypass)
+            for (size_t i = 0; i < gx.size(); ++i)
+                gx[i] += grad_out[i];
+        return gx;
+    }
+
+    Conv2D squeeze, expand1, expand3;
+    std::unique_ptr<BatchNorm2D> bns[3];
+    ReLU relus[3] = {ReLU("rs"), ReLU("r1"), ReLU("r3")};
+    bool bypass;
+};
+
+TEST(Fire, MatchesStandaloneLayersBitForBit)
+{
+    // 16 -> squeeze 6 -> expand 7 + 9 on a 5x4 plane: ragged sizes, so
+    // the 1x1 convs' 20-column GEMMs end in the narrow column tile.
+    for (bool bypass : {false, true})
+        for (bool bn : {false, true})
+            for (size_t batch : {size_t(1), size_t(3)}) {
+                Rng rng(40 + batch);
+                FireModule fire("f", 16, 6, 7, 9, bypass, rng, bn);
+                FireReference ref(fire, 16, 6, 7, 9, bn, rng);
+                const std::vector<Param *> mine = ref.params();
+                const std::vector<Param *> theirs = fire.params();
+                const std::string what = "bypass=" + std::to_string(bypass) +
+                                         " bn=" + std::to_string(bn) +
+                                         " batch=" + std::to_string(batch);
+                Tensor x = Tensor::randomNormal({batch, 16, 5, 4}, rng);
+
+                // Training forward + backward (also moves the BN
+                // running statistics the eval forward then uses).
+                const Tensor y_train = fire.forward(x, true);
+                ASSERT_TRUE(sameBytes(y_train, ref.forward(x, true))) << what;
+                Tensor g = Tensor::randomNormal(y_train.shape(), rng);
+                ASSERT_TRUE(sameBytes(fire.backward(g), ref.backward(g)))
+                    << what;
+                for (size_t i = 0; i < mine.size(); ++i)
+                    ASSERT_TRUE(sameBytes(theirs[i]->grad, mine[i]->grad))
+                        << what << " param " << i;
+
+                ASSERT_TRUE(sameBytes(fire.forward(x, false),
+                                      ref.forward(x, false)))
+                    << what;
+            }
+}
+
+/** Logits of @p net with every conv forced onto the im2col path. */
+Tensor
+im2colLogits(Network &net, const Tensor &x)
+{
+    for (Conv2D *c : net.convLayers())
+        c->setAlgo(std::make_shared<WrappedExact>());
+    Tensor y = net.forward(x, false);
+    for (Conv2D *c : net.convLayers())
+        c->resetAlgo();
+    return y;
+}
+
+TEST(Network, PointwisePathKeepsLogitsBitIdentical)
+{
+    // SqueezeNet's squeeze/expand_1x1 convs take the 1x1 NCHW path;
+    // ResNet-18's strided 1x1 projections do not.
+    struct Case
+    {
+        const char *name;
+        std::function<Network(Rng &)> make;
+    };
+    const Case kCases[] = {
+        {"squeezenet", [](Rng &r) { return makeSqueezeNet(r, false); }},
+        {"squeezenet-bypass", [](Rng &r) { return makeSqueezeNet(r, true); }},
+        {"resnet18", [](Rng &r) { return makeResNet18(r, 10, 16); }},
+    };
+    for (const Case &c : kCases)
+        for (size_t batch : {size_t(1), size_t(3)}) {
+            Rng rng(50 + batch);
+            Network net = c.make(rng);
+            Tensor x = Tensor::randomNormal({batch, 3, 32, 32}, rng);
+            const Tensor fast = net.forward(x, false);
+            EXPECT_TRUE(sameBytes(fast, im2colLogits(net, x)))
+                << c.name << " batch=" << batch;
+        }
 }
 
 TEST(Residual, IdentityShortcutWhenShapesMatch)

@@ -2,15 +2,17 @@
  * @file
  * Tests for src/nn layers: forward semantics and numerical gradient
  * checks for Conv2D, Dense, ReLU, pooling and BatchNorm, plus the
- * softmax cross-entropy loss.
+ * softmax cross-entropy loss. The 1x1 conv eval path is checked bit
+ * for bit against the im2col path.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <memory>
 
+#include "core/reuse_conv.h"
 #include "nn/activation.h"
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
@@ -21,6 +23,7 @@
 #include "nn/serialize.h"
 #include "nn/sgd.h"
 #include "quant/fixed_point.h"
+#include "tensor/im2col.h"
 #include "tensor/tensor_ops.h"
 #include "test_util.h"
 
@@ -28,6 +31,7 @@ namespace genreuse {
 namespace {
 
 using test::gradientCheck;
+using test::sameBytes;
 
 /** Sum-of-outputs loss with per-element random weights (generic probe). */
 struct WeightedSumLoss
@@ -82,13 +86,6 @@ freshForward(Conv2D &conv, const Tensor &x)
     return fresh.forward(x, false);
 }
 
-bool
-bitIdentical(const Tensor &a, const Tensor &b)
-{
-    return a.shape() == b.shape() &&
-           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
-}
-
 /**
  * Conv2D packs its weight matrix once and reuses it across forwards;
  * every way the kernel can change must reach the next forward.
@@ -111,8 +108,8 @@ class PackedWeights : public ::testing::Test
         const Tensor before = conv->forward(x, false);
         mutate();
         const Tensor after = conv->forward(x, false);
-        EXPECT_FALSE(bitIdentical(before, after)) << "mutation was a no-op";
-        EXPECT_TRUE(bitIdentical(after, freshForward(*conv, x)));
+        EXPECT_FALSE(sameBytes(before, after)) << "mutation was a no-op";
+        EXPECT_TRUE(sameBytes(after, freshForward(*conv, x)));
     }
 
     Rng rng{21};
@@ -227,6 +224,97 @@ TEST(Conv2D, CostLedgerFilled)
     EXPECT_EQ(ledger.stage(Stage::Gemm).macs, 64u * 27u * 4u);
     EXPECT_EQ(ledger.stage(Stage::Transformation).elemMoves, 64u * 27u);
     EXPECT_GT(ledger.stage(Stage::Recovering).aluOps, 0u);
+}
+
+/**
+ * A 1x1/stride-1/pad-0 eval forward with the exact strategy multiplies
+ * the NCHW planes directly; a training forward of the same conv still
+ * goes through im2col. The two must agree bit for bit, across k-blocks
+ * (Cin 300 > 256), narrow and wide column tiles, and batches.
+ */
+TEST(Conv2D, PointwiseEvalMatchesIm2colPath)
+{
+    Rng rng(31);
+    const std::pair<size_t, size_t> kPlanes[] = {{1, 1}, {1, 7}, {8, 8},
+                                                 {16, 16}};
+    size_t checked = 0;
+    for (size_t cin : {size_t(1), size_t(7), size_t(64), size_t(300)})
+        for (size_t cout : {size_t(1), size_t(5), size_t(16), size_t(33)})
+            for (auto [h, w] : kPlanes)
+                for (size_t batch : {size_t(1), size_t(3)}) {
+                    Conv2D conv("c", cin, cout, 1, 1, 0, rng);
+                    conv.bias().value =
+                        Tensor::randomNormal({cout}, rng);
+                    Tensor x = Tensor::randomNormal({batch, cin, h, w}, rng);
+                    CostLedger eval_ledger, train_ledger;
+                    conv.setLedger(&eval_ledger);
+                    const Tensor eval = conv.forward(x, false);
+                    ASSERT_TRUE(sameBytes(conv.lastIm2col(),
+                                             im2col(x, conv.lastGeometry())))
+                        << "cin=" << cin << " cout=" << cout;
+                    conv.setLedger(&train_ledger);
+                    const Tensor train = conv.forward(x, true);
+                    ASSERT_TRUE(sameBytes(eval, train))
+                        << "cin=" << cin << " cout=" << cout << " hw=" << h
+                        << "x" << w << " batch=" << batch;
+                    ASSERT_TRUE(eval_ledger == train_ledger);
+                    ++checked;
+                }
+    EXPECT_EQ(checked, 128u);
+}
+
+/** Records the im2col matrix it is handed, then delegates. */
+class RecordingAlgo : public ConvAlgo
+{
+  public:
+    explicit RecordingAlgo(std::shared_ptr<ConvAlgo> inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    Tensor
+    multiply(const Tensor &x, const Tensor &w, const ConvGeometry &geom,
+             CostLedger *ledger) override
+    {
+        seen = x;
+        return inner_->multiply(x, w, geom, ledger);
+    }
+
+    std::string describe() const override { return "recording"; }
+
+    Tensor seen;
+
+  private:
+    std::shared_ptr<ConvAlgo> inner_;
+};
+
+TEST(Conv2D, PointwiseReuseStillGetsIm2col)
+{
+    // Reuse needs im2col rows, so a 1x1 conv running any non-exact
+    // strategy keeps the im2col path: the strategy sees im2col(x), and
+    // the output is its product plus bias, folded back to NCHW.
+    Rng rng(32);
+    Conv2D conv("c", 16, 8, 1, 1, 0, rng);
+    conv.bias().value = Tensor::randomNormal({8}, rng);
+    Tensor x = Tensor::randomNormal({2, 16, 6, 6}, rng);
+    conv.forward(x, false);
+    const ConvGeometry geom = conv.lastGeometry();
+    ReusePattern p;
+    p.granularity = 4;
+    p.numHashes = 3;
+    auto reuse = std::make_shared<ReuseConvAlgo>(p, HashMode::Learned, 7);
+    reuse->fit(conv.lastIm2col(), geom);
+    auto recorder = std::make_shared<RecordingAlgo>(reuse);
+    conv.setAlgo(recorder);
+
+    const Tensor y = conv.forward(x, false);
+    const Tensor cols = im2col(x, geom);
+    ASSERT_TRUE(sameBytes(recorder->seen, cols));
+    Tensor ref = reuse->multiply(cols, conv.weightMatrix(), geom, nullptr);
+    for (size_t r = 0; r < ref.shape().rows(); ++r)
+        for (size_t c = 0; c < ref.shape().cols(); ++c)
+            ref.at2(r, c) += conv.bias().value[c];
+    EXPECT_TRUE(sameBytes(y, gemmOutputToActivation(ref, geom)));
 }
 
 TEST(Dense, ForwardMatchesManual)
@@ -385,6 +473,32 @@ TEST(BatchNorm, NormalizesTrainingBatch)
         EXPECT_NEAR(mean, 0.0, 1e-4);
         EXPECT_NEAR(var, 1.0, 1e-2);
     }
+}
+
+TEST(BatchNorm, EvalAppliesRunningStatsBitForBit)
+{
+    // Eval normalizes with the running statistics, element by element
+    // as gamma * ((x - mean) * (1 / sqrt(var + eps))) + beta.
+    Rng rng(16);
+    BatchNorm2D bn("bn", 3);
+    bn.gamma().value = Tensor::randomUniform({3}, rng, 0.5f, 2.0f);
+    bn.beta().value = Tensor::randomNormal({3}, rng);
+    for (int i = 0; i < 3; ++i)
+        bn.forward(Tensor::randomNormal({2, 3, 4, 5}, rng, 1.0f, 2.0f), true);
+    Tensor x = Tensor::randomNormal({2, 3, 4, 5}, rng);
+    Tensor ref(x.shape());
+    for (size_t b = 0; b < 2; ++b)
+        for (size_t c = 0; c < 3; ++c) {
+            const float is = 1.0f / std::sqrt(bn.runningVar()[c] + 1e-5f);
+            for (size_t h = 0; h < 4; ++h)
+                for (size_t w = 0; w < 5; ++w) {
+                    const float xn =
+                        (x.at4(b, c, h, w) - bn.runningMean()[c]) * is;
+                    ref.at4(b, c, h, w) =
+                        bn.gamma().value[c] * xn + bn.beta().value[c];
+                }
+        }
+    EXPECT_TRUE(sameBytes(bn.forward(x, false), ref));
 }
 
 TEST(BatchNorm, InputGradientCheck)

@@ -7,12 +7,21 @@
 #ifndef GENREUSE_TESTS_TEST_UTIL_H
 #define GENREUSE_TESTS_TEST_UTIL_H
 
+#include <cstring>
 #include <functional>
 
 #include "common/rng.h"
 #include "tensor/tensor.h"
 
 namespace genreuse::test {
+
+/** True when @p a and @p b have the same shape and the same bytes. */
+inline bool
+sameBytes(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
 
 /** Naive O(n^3) reference matmul. */
 inline Tensor

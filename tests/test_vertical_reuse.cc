@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <numeric>
 #include <random>
 
@@ -23,6 +22,8 @@
 
 namespace genreuse {
 namespace {
+
+using test::sameBytes;
 
 TEST(VerticalSlicing, PlanMath)
 {
@@ -38,13 +39,6 @@ TEST(VerticalSlicing, PlanMath)
     VerticalSlicing whole = VerticalSlicing::plan(75, 0, 1);
     EXPECT_EQ(whole.numSlices, 1u);
     EXPECT_EQ(whole.width(0, 75), 75u);
-}
-
-bool
-sameBytes(const Tensor &a, const Tensor &b)
-{
-    return a.shape() == b.shape() &&
-           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
 /**
