@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the hot kernels underneath the
  * paper reproduction: blocked GEMM, im2col, 1x1 conv eval forwards at
- * SqueezeNet Fire shapes, im2col reordering, LSH
+ * SqueezeNet Fire shapes, guarded-reuse conv eval forwards on the fused
+ * and the im2col path, im2col reordering, LSH
  * signatures/clustering, and the vertical/horizontal reuse GEMMs
  * against the exact GEMM on redundant inputs. These are wall-clock
  * numbers of this host library (the MCU latencies in the table/figure
@@ -338,6 +339,89 @@ BM_GuardedReuseConv(benchmark::State &state)
     }
 }
 BENCHMARK(BM_GuardedReuseConv)->Arg(0)->Arg(1)->Arg(2);
+
+/** Delegates multiply() and declines multiplyNchw(), so a conv running
+ *  it always builds the im2col matrix. */
+class Im2colOnly : public ConvAlgo
+{
+  public:
+    explicit Im2colOnly(std::shared_ptr<ConvAlgo> inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    Tensor
+    multiply(const Tensor &x, const Tensor &w, const ConvGeometry &geom,
+             CostLedger *ledger) override
+    {
+        return inner_->multiply(x, w, geom, ledger);
+    }
+
+    std::string describe() const override { return inner_->describe(); }
+
+  private:
+    std::shared_ptr<ConvAlgo> inner_;
+};
+
+void
+BM_GuardedConvEval(benchmark::State &state)
+{
+    // A whole Conv2D eval forward (bias and layout fold included) with
+    // a guarded one-tile C1 pattern, H = 4, on redundant synthetic
+    // images. Args: shape (0 = CifarNet conv2, 64 -> 64 @ 16x16 5x5;
+    // 1 = Fire4 expand_3x3, 32 -> 128 @ 8x8 3x3) and path (0 = fused
+    // from NCHW, 1 = im2col through a pass-through wrapper).
+    const bool fire = state.range(0) == 1;
+    const size_t cin = fire ? 32 : 64, cout = fire ? 128 : 64;
+    const size_t k = fire ? 3 : 5, side = fire ? 8 : 16;
+    Rng rng(5);
+    Conv2D conv("conv", cin, cout, k, 1, k / 2, rng);
+    SyntheticConfig cfg;
+    cfg.numSamples = 3;
+    cfg.redundancy = 0.8f;
+    cfg.noiseStddev = 0.03f;
+    const Dataset data = makeSyntheticCifar(cfg);
+    // Tile the 3 RGB planes (subsampled to the layer's side) over cin
+    // channels, so the input carries the images' redundancy.
+    auto input = [&](std::vector<size_t> idx) {
+        const Tensor img = data.gatherImages(idx);
+        Tensor x({idx.size(), cin, side, side});
+        const size_t step = 32 / side;
+        for (size_t b = 0; b < idx.size(); ++b)
+            for (size_t c = 0; c < cin; ++c)
+                for (size_t y = 0; y < side; ++y)
+                    for (size_t xx = 0; xx < side; ++xx)
+                        x.at4(b, c, y, xx) =
+                            img.at4(b, c % 3, y * step, xx * step);
+        return x;
+    };
+    const Tensor sample = input({0, 1});
+    const Tensor x = input({2});
+    const ConvGeometry fit_geom = conv.geometry(sample.shape());
+    ReusePattern p;
+    p.granularity = k * k;
+    p.numHashes = 4;
+    GuardConfig gcfg;
+    gcfg.marginFactor = 1e9; // time rung 0 on both paths
+    auto guarded = std::make_shared<GuardedReuseConvAlgo>(
+        p, gcfg, HashMode::Learned, 99);
+    guarded->fit(im2col(sample, fit_geom), fit_geom);
+    if (state.range(1) == 0)
+        conv.setAlgo(guarded);
+    else
+        conv.setAlgo(std::make_shared<Im2colOnly>(guarded));
+    for (auto _ : state) {
+        Tensor y = conv.forward(x, false);
+        benchmark::DoNotOptimize(y.data());
+    }
+    state.SetLabel(std::string(fire ? "fire4.expand_3x3" : "cifarnet.conv2") +
+                   (state.range(1) == 0 ? " fused" : " im2col"));
+}
+BENCHMARK(BM_GuardedConvEval)
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1});
 
 void
 BM_UntaggedReportOps(benchmark::State &state)

@@ -145,9 +145,42 @@ allFiniteScalar(const float *p, size_t n)
     return true;
 }
 
+void
+reluScalar(const float *src, float *dst, size_t n)
+{
+    for (size_t i = 0; i < n; ++i)
+        dst[i] = src[i] > 0.0f ? src[i] : 0.0f;
+}
+
+void
+gatherSignaturesScalar(const float *x, const uint32_t *off, size_t len,
+                       const float *v, const float *biases, size_t h,
+                       size_t count, uint64_t *sigs)
+{
+    for (size_t i = 0; i < count; ++i) {
+        const float *xi = x + i;
+        uint64_t sig = 0;
+        for (size_t f = 0; f < h; ++f) {
+            const float *vf = v + f * len;
+            float p = 0.0f;
+            for (size_t j0 = 0; j0 < len; j0 += kBlockK) {
+                const size_t j1 = std::min(len, j0 + kBlockK);
+                float acc = 0.0f;
+                for (size_t j = j0; j < j1; ++j)
+                    acc += xi[off[j]] * vf[j];
+                p += acc;
+            }
+            if (p + biases[f] > 0.0f)
+                sig |= uint64_t{1} << f;
+        }
+        sigs[i] = sig;
+    }
+}
+
 constexpr Ops kScalarOps = {
     "scalar",          Level::Scalar,      gemmF32Scalar,     gemmInt8Scalar,
     addIntoScalar,     scaleInPlaceScalar, signProjectScalar, allFiniteScalar,
+    reluScalar,        gatherSignaturesScalar,
 };
 
 std::atomic<const Ops *> g_active{nullptr};

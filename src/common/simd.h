@@ -2,7 +2,8 @@
  * @file
  * Runtime SIMD kernel dispatch, after TFLite-Micro's replaceable-kernel
  * design: every hot inner loop (f32 GEMM, raw int8 GEMM, the LSH sign
- * pass, elementwise add/scale, the non-finite scan) is reached through a per-process ops
+ * pass and gathered-patch hashing, elementwise add/scale, eval ReLU, the
+ * non-finite scan) is reached through a per-process ops
  * table selected once at startup from CPU capabilities, overridable
  * with `GENREUSE_SIMD=scalar|avx2|neon`.
  *
@@ -65,6 +66,25 @@ struct Ops
 
     /** True when no p[i], i in [0, n), is NaN or +/-Inf. */
     bool (*allFinite)(const float *p, size_t n);
+
+    /** Eval ReLU: dst[i] = src[i] > 0 ? src[i] : 0, so NaN and -0 map
+     *  to +0 (the semantics of x86 max(x, 0)). */
+    void (*relu)(const float *src, float *dst, size_t n);
+
+    /**
+     * LSH signatures of @p count consecutive gathered items, read in
+     * place: element j (< len) of item i is x[i + off[j]], as the
+     * im2col rows of adjacent output pixels are in a zero-padded
+     * stride-1 input. Bit f (< h) of sigs[i] is (p + biases[f] > 0)
+     * with p the projection onto row f of the h x len matrix @p v,
+     * summed exactly as gemmF32 sums the (count x len) x (len x h)
+     * product: per 256-wide block of j, acc = 0 then acc += x * v with
+     * j ascending, and the block sums added in order to p = 0.
+     */
+    void (*gatherSignatures)(const float *x, const uint32_t *off,
+                             size_t len, const float *v,
+                             const float *biases, size_t h, size_t count,
+                             uint64_t *sigs);
 };
 
 /** True when @p level is compiled in AND supported by this CPU. */

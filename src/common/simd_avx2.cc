@@ -32,8 +32,10 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 namespace genreuse::simd {
 
@@ -336,9 +338,148 @@ allFiniteAvx2(const float *p, size_t n)
     return true;
 }
 
+/** max(x, 0) returns its second operand (+0) for NaN and for -0, so
+ *  it is the oracle's x > 0 ? x : 0 with no branch. */
+void
+reluAvx2(const float *src, float *dst, size_t n)
+{
+    const __m256 zero = _mm256_setzero_ps();
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        _mm256_storeu_ps(dst + i,
+                         _mm256_max_ps(_mm256_loadu_ps(src + i), zero));
+    for (; i < n; ++i)
+        dst[i] = src[i] > 0.0f ? src[i] : 0.0f;
+}
+
+/**
+ * Sign bits of G (<= 8) hash functions for 8 * NV consecutive gathered
+ * items, one item per lane: every lane runs the oracle's sequence
+ * (block sums of acc += x * v, added to p = 0), so the bits match. Two
+ * vectors of items (NV = 2) give the add chains twice the independent
+ * work. Partial groups (@p Full false, NV = 1) read only the first
+ * @p w lanes; the others read 0 and the caller drops their bits.
+ * bits[n * G + g] holds function g's lane mask for vector n.
+ */
+template <size_t G, size_t NV, bool Full>
+void
+gatherGroupAvx2(const float *xi, const uint32_t *off, size_t len,
+                const float *v, const float *biases, size_t w,
+                uint32_t *bits)
+{
+    const __m256i mask = Full ? _mm256_setzero_si256() : firstLanes(w);
+    __m256 p[NV][G];
+#pragma GCC unroll 16
+    for (size_t k = 0; k < NV * G; ++k)
+        p[k / G][k % G] = _mm256_setzero_ps();
+    for (size_t j0 = 0; j0 < len; j0 += kBlockK) {
+        const size_t j1 = std::min(len, j0 + kBlockK);
+        __m256 acc[NV][G];
+#pragma GCC unroll 16
+        for (size_t k = 0; k < NV * G; ++k)
+            acc[k / G][k % G] = _mm256_setzero_ps();
+        for (size_t j = j0; j < j1; ++j) {
+            const float *xj = xi + off[j];
+            __m256 xv[NV];
+#pragma GCC unroll 2
+            for (size_t n = 0; n < NV; ++n)
+                xv[n] = Full ? _mm256_loadu_ps(xj + 8 * n)
+                             : _mm256_maskload_ps(xj + 8 * n, mask);
+#pragma GCC unroll 8
+            for (size_t g = 0; g < G; ++g) {
+                const __m256 vb = _mm256_broadcast_ss(v + g * len + j);
+#pragma GCC unroll 2
+                for (size_t n = 0; n < NV; ++n)
+                    acc[n][g] = _mm256_add_ps(acc[n][g],
+                                              _mm256_mul_ps(xv[n], vb));
+            }
+        }
+#pragma GCC unroll 16
+        for (size_t k = 0; k < NV * G; ++k)
+            p[k / G][k % G] =
+                _mm256_add_ps(p[k / G][k % G], acc[k / G][k % G]);
+    }
+    const __m256 zero = _mm256_setzero_ps();
+#pragma GCC unroll 16
+    for (size_t k = 0; k < NV * G; ++k)
+        bits[k] = static_cast<uint32_t>(_mm256_movemask_ps(_mm256_cmp_ps(
+            _mm256_add_ps(p[k / G][k % G],
+                          _mm256_broadcast_ss(biases + k % G)),
+            zero, _CMP_GT_OQ)));
+}
+
+using GatherGroupFn = void (*)(const float *, const uint32_t *, size_t,
+                               const float *, const float *, size_t,
+                               uint32_t *);
+
+/** gatherGroupAvx2 for G = 1..8, indexed by G - 1. */
+template <size_t NV, bool Full, size_t... G>
+constexpr std::array<GatherGroupFn, sizeof...(G)>
+gatherGroupTable(std::index_sequence<G...>)
+{
+    return {&gatherGroupAvx2<G + 1, NV, Full>...};
+}
+
+constexpr auto kGroupPair = gatherGroupTable<2, true>(
+    std::make_index_sequence<8>{});
+constexpr auto kGroupFull = gatherGroupTable<1, true>(
+    std::make_index_sequence<8>{});
+constexpr auto kGroupPartial = gatherGroupTable<1, false>(
+    std::make_index_sequence<8>{});
+
+/** Transpose an 8x8 bit matrix held one row per byte: bit l of byte k
+ *  moves to bit k of byte l. */
+inline uint64_t
+transpose8x8(uint64_t x)
+{
+    uint64_t t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAull;
+    x = x ^ t ^ (t << 7);
+    t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCull;
+    x = x ^ t ^ (t << 14);
+    t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ull;
+    return x ^ t ^ (t << 28);
+}
+
+void
+gatherSignaturesAvx2(const float *x, const uint32_t *off, size_t len,
+                     const float *v, const float *biases, size_t h,
+                     size_t count, uint64_t *sigs)
+{
+    for (size_t i = 0; i < count;) {
+        // 16 items at once while the add chains are few (h <= 4) and
+        // the run has them; else 8, the last group masked.
+        const size_t w = count - i >= 16 && h <= 4
+                             ? 16
+                             : std::min<size_t>(8, count - i);
+        uint64_t lane_sig[16] = {};
+        for (size_t f0 = 0; f0 < h; f0 += 8) {
+            const size_t g = std::min<size_t>(8, h - f0);
+            const GatherGroupFn fn = w == 16  ? kGroupPair[g - 1]
+                                     : w == 8 ? kGroupFull[g - 1]
+                                              : kGroupPartial[g - 1];
+            uint32_t bits[16];
+            fn(x + i, off, len, v + f0 * len, biases + f0, w, bits);
+            // Byte k of rows = function k's lane mask; transposed, byte
+            // l holds lane l's g signature bits.
+            for (size_t n = 0; n * 8 < w; ++n) {
+                uint64_t rows = 0;
+                for (size_t k = 0; k < g; ++k)
+                    rows |= static_cast<uint64_t>(bits[n * g + k]) << (8 * k);
+                const uint64_t lanes = transpose8x8(rows);
+                for (size_t l = 0; l < 8 && n * 8 + l < w; ++l)
+                    lane_sig[n * 8 + l] |= ((lanes >> (8 * l)) & 0xffu) << f0;
+            }
+        }
+        for (size_t l = 0; l < w; ++l)
+            sigs[i + l] = lane_sig[l];
+        i += w;
+    }
+}
+
 const Ops kAvx2Ops = {
     "avx2",      Level::Avx2,      gemmF32Avx2,     gemmInt8Avx2,
     addIntoAvx2, scaleInPlaceAvx2, signProjectAvx2, allFiniteAvx2,
+    reluAvx2,    gatherSignaturesAvx2,
 };
 
 } // namespace

@@ -190,9 +190,51 @@ allFiniteNeon(const float *p, size_t n)
     return true;
 }
 
+// Compare-and-select, not vmaxq_f32: NEON max propagates NaN, the
+// oracle maps it to 0.
+void
+reluNeon(const float *src, float *dst, size_t n)
+{
+    const float32x4_t zero = vdupq_n_f32(0.0f);
+    size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const float32x4_t xv = vld1q_f32(src + i);
+        vst1q_f32(dst + i, vbslq_f32(vcgtq_f32(xv, zero), xv, zero));
+    }
+    for (; i < n; ++i)
+        dst[i] = src[i] > 0.0f ? src[i] : 0.0f;
+}
+
+// Plain loop, like allFiniteNeon: the scalar oracle's sequence.
+void
+gatherSignaturesNeon(const float *x, const uint32_t *off, size_t len,
+                     const float *v, const float *biases, size_t h,
+                     size_t count, uint64_t *sigs)
+{
+    for (size_t i = 0; i < count; ++i) {
+        const float *xi = x + i;
+        uint64_t sig = 0;
+        for (size_t f = 0; f < h; ++f) {
+            const float *vf = v + f * len;
+            float p = 0.0f;
+            for (size_t j0 = 0; j0 < len; j0 += kBlockK) {
+                const size_t j1 = std::min(len, j0 + kBlockK);
+                float acc = 0.0f;
+                for (size_t j = j0; j < j1; ++j)
+                    acc += xi[off[j]] * vf[j];
+                p += acc;
+            }
+            if (p + biases[f] > 0.0f)
+                sig |= uint64_t{1} << f;
+        }
+        sigs[i] = sig;
+    }
+}
+
 const Ops kNeonOps = {
     "neon",      Level::Neon,      gemmF32Neon,     gemmInt8Neon,
     addIntoNeon, scaleInPlaceNeon, signProjectNeon, allFiniteNeon,
+    reluNeon,    gatherSignaturesNeon,
 };
 
 } // namespace

@@ -397,8 +397,52 @@ GuardedReuseConvAlgo::errorBudget(GuardStreamState &st, const Tensor &w,
            static_cast<double>(runtime_rows);
 }
 
+size_t
+GuardedReuseConvAlgo::Input::rows() const
+{
+    return cols_ ? cols_->shape().rows() : geom_->rows();
+}
+
+size_t
+GuardedReuseConvAlgo::Input::cols() const
+{
+    return cols_ ? cols_->shape().cols() : geom_->cols();
+}
+
+bool
+GuardedReuseConvAlgo::Input::allFinite() const
+{
+    const Tensor &t = nchw_ ? *nchw_ : *cols_;
+    return simd::ops().allFinite(t.data(), t.size());
+}
+
+const Tensor &
+GuardedReuseConvAlgo::Input::matrix()
+{
+    if (!cols_) {
+        profiler::ProfSpan span("conv.im2col");
+        built_.emplace(im2col(*nchw_, *geom_));
+        cols_ = &*built_;
+    }
+    return *cols_;
+}
+
+const float *
+GuardedReuseConvAlgo::Input::sampledRows(size_t step, size_t count,
+                                         Arena &arena, size_t &ld) const
+{
+    if (cols_) {
+        ld = step * cols_->shape().cols();
+        return cols_->data();
+    }
+    float *rows = arena.allocSpan<float>(count * geom_->cols());
+    im2colRowsInto(*nchw_, *geom_, 0, step, count, rows);
+    ld = geom_->cols();
+    return rows;
+}
+
 double
-GuardedReuseConvAlgo::measureError(const Tensor &x, const Tensor &w,
+GuardedReuseConvAlgo::measureError(const Input &x, const Tensor &w,
                                    const Tensor &y,
                                    CostLedger *ledger) const
 {
@@ -409,7 +453,7 @@ GuardedReuseConvAlgo::measureError(const Tensor &x, const Tensor &w,
 }
 
 double
-GuardedReuseConvAlgo::measureErrorRows(const Tensor &x, const Tensor &w,
+GuardedReuseConvAlgo::measureErrorRows(const Input &x, const Tensor &w,
                                        const Tensor &y, size_t rows,
                                        CostLedger *ledger,
                                        double *exact_norm_sq_out) const
@@ -418,8 +462,8 @@ GuardedReuseConvAlgo::measureErrorRows(const Tensor &x, const Tensor &w,
     // Attribute verification time to the serve request executing on
     // this thread (one relaxed load when request tracing is off).
     rtrace::VerifySpan verify_span;
-    const size_t n = x.shape().rows();
-    const size_t din = x.shape().cols();
+    const size_t n = x.rows();
+    const size_t din = x.cols();
     const size_t m = w.shape().cols();
     if (exact_norm_sq_out)
         *exact_norm_sq_out = 0.0;
@@ -430,14 +474,16 @@ GuardedReuseConvAlgo::measureErrorRows(const Tensor &x, const Tensor &w,
     const size_t stride = n / rows;
 
     // The sampled rows (every stride-th row) form a strided view of x,
-    // so one GEMM computes them all while keeping W's panels in cache
-    // across rows; each output element is the same float sequence a
-    // one-row GEMM would produce.
+    // or are gathered from the NCHW input when the matrix was never
+    // built, so one GEMM computes them all while keeping W's panels in
+    // cache across rows; each output element is the same float sequence
+    // a one-row GEMM would produce, whatever the leading dimension.
     Arena &arena = Arena::forCurrentStream();
     ArenaFrame frame(arena);
     float *exact = arena.allocSpan<float>(rows * m);
-    gemmRaw(x.data(), w.data(), exact, rows, m, din, stride * din, m, m,
-            false);
+    size_t ld = 0;
+    const float *xs = x.sampledRows(stride, rows, arena, ld);
+    gemmRaw(xs, w.data(), exact, rows, m, din, ld, m, m, false);
     double err = 0.0;
     double norm = 0.0;
     for (size_t k = 0; k < rows; ++k) {
@@ -467,7 +513,7 @@ GuardedReuseConvAlgo::measureErrorRows(const Tensor &x, const Tensor &w,
 }
 
 void
-GuardedReuseConvAlgo::maybeCanary(GuardStreamState &st, const Tensor &x,
+GuardedReuseConvAlgo::maybeCanary(GuardStreamState &st, const Input &x,
                                   const Tensor &w,
                                   const ConvGeometry &geom,
                                   const Tensor &y, CostLedger *ledger)
@@ -488,11 +534,11 @@ GuardedReuseConvAlgo::maybeCanary(GuardStreamState &st, const Tensor &x,
     // to activation scale (the thing an absolute budget is not).
     const double denom = std::max(norm_sq, 1e-30);
     const double rel_error = err / denom;
-    const double budget = errorBudget(st, w, geom, x.shape().rows());
+    const double budget = errorBudget(st, w, geom, x.rows());
     const double rel_budget = budget / denom;
     const bool breach = err > budget;
     canary::observe(inner_.get(), rel_error, rel_budget,
-                    static_cast<uint64_t>(std::min(rows, x.shape().rows())),
+                    static_cast<uint64_t>(std::min(rows, x.rows())),
                     breach);
     // The canary measurement is ground truth of the same signal the
     // guard's own verification feeds the drift watcher — keep feeding
@@ -561,28 +607,63 @@ GuardedReuseConvAlgo::multiplyInto(StreamContext &ctx, const Tensor &x,
         xin = &*corrupted;
     }
 
+    Input in(*xin);
+    runLadder(st, in, w, geom, ledger, y);
+}
+
+bool
+GuardedReuseConvAlgo::multiplyNchw(const Tensor &x, const Tensor &w,
+                                   const ConvGeometry &geom,
+                                   CostLedger *ledger, Tensor &y)
+{
+    // Fault injection corrupts a copy of the input on the matrix path,
+    // and scheduled faults count that path's checks: keep it.
+    if (faultpoint::anyArmed() || !inner_->acceptsNchw(geom, w))
+        return false;
+    profiler::ProfSpan pspan("guard.forward");
+    Input in(x, geom);
+    runLadder(state(StreamContext::current()), in, w, geom, ledger, y);
+    return true;
+}
+
+void
+GuardedReuseConvAlgo::runLadder(GuardStreamState &st, Input &in,
+                                const Tensor &w, const ConvGeometry &geom,
+                                CostLedger *ledger, Tensor &y)
+{
+    // Rung 0's reuse pass: fused while the matrix is unbuilt.
+    auto reuse = [&](Tensor &out) -> Status {
+        if (in.fused()) {
+            inner_->multiplyNchw(in.nchw(), w, geom, ledger, out);
+            return Status();
+        }
+        return inner_->tryMultiplyInto(in.matrix(), w, geom, ledger, out);
+    };
+
     if (!config_.enabled) {
         st.lastRung = static_cast<int>(GuardRung::FullReuse);
-        inner_->multiplyInto(*xin, w, geom, ledger, y);
-        maybeCanary(st, *xin, w, geom, y, ledger);
+        Status s = reuse(y);
+        if (!s.ok())
+            panic(s.toString());
+        maybeCanary(st, in, w, geom, y, ledger);
         return;
     }
 
     // Rung 2 immediately on non-finite activations: reuse would smear
     // the NaN across every member of its cluster, while the exact GEMM
     // confines it to the rows that actually contain it.
-    if (!simd::ops().allFinite(xin->data(), xin->size())) {
+    if (!in.allFinite()) {
         warnOnce("guard-nonfinite-input",
                  "guard: non-finite activations; conv layer downgraded "
                  "to exact GEMM for this forward (warned once)");
         guard::noteNonFiniteInput();
         st.lastRung = static_cast<int>(GuardRung::ExactFallback);
         guard::recordForward(GuardRung::ExactFallback, 0.0, 0.0);
-        y = exact_.multiply(*xin, w, geom, ledger);
+        y = exact_.multiply(in.matrix(), w, geom, ledger);
         return;
     }
 
-    Status s = inner_->tryMultiplyInto(*xin, w, geom, ledger, y);
+    Status s = reuse(y);
     if (!s.ok()) {
         warnOnce("guard-status-error",
                  "guard: reuse kernel failed (", s.toString(),
@@ -590,7 +671,7 @@ GuardedReuseConvAlgo::multiplyInto(StreamContext &ctx, const Tensor &x,
         guard::noteStatusError();
         st.lastRung = static_cast<int>(GuardRung::ExactFallback);
         guard::recordForward(GuardRung::ExactFallback, 0.0, 0.0);
-        y = exact_.multiply(*xin, w, geom, ledger);
+        y = exact_.multiply(in.matrix(), w, geom, ledger);
         return;
     }
 
@@ -604,12 +685,12 @@ GuardedReuseConvAlgo::multiplyInto(StreamContext &ctx, const Tensor &x,
         guard::recordForward(GuardRung::FullReuse, 0.0, 0.0);
         // The canary still samples up here — it is the only accuracy
         // signal left when verification is shed.
-        maybeCanary(st, *xin, w, geom, y, ledger);
+        maybeCanary(st, in, w, geom, y, ledger);
         return;
     }
 
-    const double budget = errorBudget(st, w, geom, xin->shape().rows());
-    double measured = measureError(*xin, w, y, ledger);
+    const double budget = errorBudget(st, w, geom, in.rows());
+    double measured = measureError(in, w, y, ledger);
     // Drift watches the *first* attempt's measurement: it reflects the
     // stream against the original fit, before any re-cluster muddies
     // the signal. The boost it may raise applies from the next forward.
@@ -618,7 +699,7 @@ GuardedReuseConvAlgo::multiplyInto(StreamContext &ctx, const Tensor &x,
     if (measured <= budget) {
         st.lastRung = static_cast<int>(GuardRung::FullReuse);
         guard::recordForward(GuardRung::FullReuse, measured, budget);
-        maybeCanary(st, *xin, w, geom, y, ledger);
+        maybeCanary(st, in, w, geom, y, ledger);
         return;
     }
 
@@ -634,18 +715,18 @@ GuardedReuseConvAlgo::multiplyInto(StreamContext &ctx, const Tensor &x,
         inner_->setSeed(inner_->seed() + config_.reclusterSeedStep);
         inner_->fit(fitSample_, fitGeom_);
         Tensor y2;
-        Status s2 = inner_->tryMultiplyInto(*xin, w, geom, ledger, y2);
+        Status s2 = inner_->tryMultiplyInto(in.matrix(), w, geom, ledger,
+                                            y2);
         if (!s2.ok())
             break;
-        const double budget2 =
-            errorBudget(st, w, geom, xin->shape().rows());
-        const double m2 = measureError(*xin, w, y2, ledger);
+        const double budget2 = errorBudget(st, w, geom, in.rows());
+        const double m2 = measureError(in, w, y2, ledger);
         audit::recordBudget(inner_.get(), m2, budget2);
         if (m2 <= budget2) {
             st.lastRung = static_cast<int>(GuardRung::Recluster);
             guard::recordForward(GuardRung::Recluster, m2, budget2);
             y = std::move(y2);
-            maybeCanary(st, *xin, w, geom, y, ledger);
+            maybeCanary(st, in, w, geom, y, ledger);
             return;
         }
         measured = m2;
@@ -656,7 +737,7 @@ GuardedReuseConvAlgo::multiplyInto(StreamContext &ctx, const Tensor &x,
              "exact fallback (warned once)");
     st.lastRung = static_cast<int>(GuardRung::ExactFallback);
     guard::recordForward(GuardRung::ExactFallback, measured, budget);
-    y = exact_.multiply(*xin, w, geom, ledger);
+    y = exact_.multiply(in.matrix(), w, geom, ledger);
 }
 
 std::string

@@ -28,6 +28,7 @@
 #define GENREUSE_CORE_GUARD_H
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "drift.h"
@@ -235,6 +236,20 @@ class GuardedReuseConvAlgo : public ConvAlgo
                       const ConvGeometry &geom, CostLedger *ledger,
                       Tensor &y);
 
+    /**
+     * The fused eval pass (ReuseConvAlgo::multiplyNchw) under the
+     * ladder. Rung 0 runs straight from the NCHW input; the non-finite
+     * scan reads that input, which sees what a scan of the matrix
+     * would (stride 1: every input element lands in some patch, and
+     * the zero border is finite); verification and canary rows are
+     * gathered on demand. The re-cluster and exact rungs build the
+     * im2col matrix when they run. Declines when the inner algorithm
+     * cannot run fused or any fault point is armed.
+     */
+    bool multiplyNchw(const Tensor &x, const Tensor &w,
+                      const ConvGeometry &geom, CostLedger *ledger,
+                      Tensor &y) override;
+
     std::string describe() const override;
 
     /** Rung the calling stream's most recent multiply() resolved at. */
@@ -267,10 +282,48 @@ class GuardedReuseConvAlgo : public ConvAlgo
     size_t verifyRows() const;
 
   private:
+    /** The conv input as the ladder reads it: the im2col matrix, or
+     *  the NCHW input, whose matrix is built only when a rung needs
+     *  all of it. */
+    class Input
+    {
+      public:
+        explicit Input(const Tensor &cols) : cols_(&cols) {}
+        Input(const Tensor &nchw, const ConvGeometry &geom)
+            : nchw_(&nchw), geom_(&geom)
+        {
+        }
+
+        /** True while the matrix has not been built. */
+        bool fused() const { return cols_ == nullptr; }
+        const Tensor &nchw() const { return *nchw_; }
+        size_t rows() const;
+        size_t cols() const;
+        bool allFinite() const;
+
+        /** The im2col matrix, built on first use. */
+        const Tensor &matrix();
+
+        /** Rows 0, step, 2 step, ... (@p count rows) with leading
+         *  dimension @p ld: in place, or gathered into @p arena. */
+        const float *sampledRows(size_t step, size_t count, Arena &arena,
+                                 size_t &ld) const;
+
+      private:
+        const Tensor *cols_ = nullptr;
+        const Tensor *nchw_ = nullptr;
+        const ConvGeometry *geom_ = nullptr;
+        std::optional<Tensor> built_;
+    };
+
+    /** The ladder from rung 0 down, on either input form. */
+    void runLadder(GuardStreamState &st, Input &in, const Tensor &w,
+                   const ConvGeometry &geom, CostLedger *ledger, Tensor &y);
+
     GuardStreamState &state(StreamContext &ctx) const;
     double errorBudget(GuardStreamState &st, const Tensor &w,
                        const ConvGeometry &geom, size_t runtime_rows);
-    double measureError(const Tensor &x, const Tensor &w,
+    double measureError(const Input &x, const Tensor &w,
                         const Tensor &y, CostLedger *ledger) const;
 
     /**
@@ -281,7 +334,7 @@ class GuardedReuseConvAlgo : public ConvAlgo
      * exact rows, so the caller can form a *relative* error — the
      * accuracy canary's unit, stable across activation scales.
      */
-    double measureErrorRows(const Tensor &x, const Tensor &w,
+    double measureErrorRows(const Input &x, const Tensor &w,
                             const Tensor &y, size_t rows,
                             CostLedger *ledger,
                             double *exact_norm_sq_out) const;
@@ -295,7 +348,7 @@ class GuardedReuseConvAlgo : public ConvAlgo
      * error on the exact path, feeds the stream's error drift
      * detector, and journals CanarySample/CanaryBreach.
      */
-    void maybeCanary(GuardStreamState &st, const Tensor &x,
+    void maybeCanary(GuardStreamState &st, const Input &x,
                      const Tensor &w, const ConvGeometry &geom,
                      const Tensor &y, CostLedger *ledger);
     void observeDrift(GuardStreamState &st, double measured,

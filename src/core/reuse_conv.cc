@@ -1,5 +1,8 @@
 #include "reuse_conv.h"
 
+#include <cstdint>
+
+#include "common/arena.h"
 #include "common/eventlog.h"
 #include "common/logging.h"
 #include "common/profiler.h"
@@ -202,10 +205,7 @@ ReuseConvAlgo::tryMultiplyInto(StreamContext &ctx, const Tensor &x,
             }
         }
         xin = &sc.xr;
-        OpCounts tf;
-        tf.elemMoves = x.size();
-        reportOps(ledger, Stage::Transformation, tf);
-        audit::recordTraffic(this, tf.elemMoves, 0);
+        chargeReorder(x.size(), ledger);
     }
     const Tensor *win = &w;
     const uint32_t *w_rows = nullptr;
@@ -242,12 +242,8 @@ ReuseConvAlgo::multiplyReordered(const Tensor &xr, const Tensor &wr,
     // The caller supplied pre-reordered inputs; the transformation is
     // still charged (the paper includes reorder cost in every reported
     // latency), keeping ledgers identical to multiply().
-    if (reorder_rows || reorder_cols) {
-        OpCounts tf;
-        tf.elemMoves = xr.size();
-        reportOps(ledger, Stage::Transformation, tf);
-        audit::recordTraffic(this, tf.elemMoves, 0);
-    }
+    if (reorder_rows || reorder_cols)
+        chargeReorder(xr.size(), ledger);
     Tensor y;
     reuseCoreInto(sc, xr, wr, nullptr, row_perm, reorder_rows, geom, ledger,
                   y);
@@ -288,6 +284,21 @@ ReuseConvAlgo::reuseCoreInto(ConvStreamScratch &sc, const Tensor &xr,
         reportOps(ledger, Stage::Recovering, rc);
         audit::recordTraffic(this, 0, rc.elemMoves);
     }
+    finishForward(sc);
+}
+
+void
+ReuseConvAlgo::chargeReorder(size_t elems, CostLedger *ledger) const
+{
+    OpCounts tf;
+    tf.elemMoves = elems;
+    reportOps(ledger, Stage::Transformation, tf);
+    audit::recordTraffic(this, tf.elemMoves, 0);
+}
+
+void
+ReuseConvAlgo::finishForward(const ConvStreamScratch &sc) const
+{
     // One aggregated reuse event per layer forward, on top of the
     // per-kernel events: this is the granularity drift analysis and
     // the inspector's timeline work at.
@@ -298,6 +309,64 @@ ReuseConvAlgo::reuseCoreInto(ConvStreamScratch &sc, const Tensor &xr,
                          0.0,
                          static_cast<uint32_t>(sc.lastStats.totalCentroids));
     audit::recordForward(this, sc.lastStats);
+}
+
+bool
+ReuseConvAlgo::acceptsNchw(const ConvGeometry &geom, const Tensor &w)
+{
+    // Offsets into the padded input are 32-bit.
+    return fitted_ && pattern_.direction == ReuseDirection::Vertical &&
+           vslice_.blockRows == 1 && geom.stride == 1 &&
+           geom.cols() == fittedDin_ && w.shape().rank() == 2 &&
+           w.shape().rows() == geom.cols() &&
+           paddedInputSize(geom) <= UINT32_MAX &&
+           isIdentity(cachedRowPerm(scratch(StreamContext::current()), geom));
+}
+
+bool
+ReuseConvAlgo::multiplyNchw(const Tensor &x, const Tensor &w,
+                            const ConvGeometry &geom, CostLedger *ledger,
+                            Tensor &y)
+{
+    if (!acceptsNchw(geom, w))
+        return false;
+    ConvStreamScratch &sc = scratch(StreamContext::current());
+    const size_t n = geom.rows(), din = geom.cols();
+    Arena &arena = Arena::forCurrentStream();
+    ArenaFrame frame(arena);
+    // The patches are read from one zero-padded copy of the input; the
+    // column order is an index table over it (colOffset[c] = the
+    // default layout's offset of column colPerm_[c]), so no reordered
+    // matrix is ever written.
+    float *padded = arena.allocSpan<float>(paddedInputSize(geom));
+    uint32_t *row_off = arena.allocSpan<uint32_t>(n);
+    uint32_t *col_off = arena.allocSpan<uint32_t>(din);
+    {
+        profiler::ProfSpan span("reuse.gather");
+        padInputInto(x, geom, padded);
+        patchRowOffsets(geom, row_off);
+        ArenaFrame defaults_frame(arena);
+        uint32_t *defaults = arena.allocSpan<uint32_t>(din);
+        patchColOffsets(geom, defaults);
+        for (size_t c = 0; c < din; ++c)
+            col_off[c] = defaults[colPerm_[c]];
+    }
+    const bool reorder_cols = !isIdentity(colPerm_);
+    if (reorder_cols)
+        chargeReorder(n * din, ledger);
+    GatheredItems items;
+    items.base = padded;
+    items.count = n;
+    items.length = din;
+    items.itemOffset = row_off;
+    items.elemOffset = col_off;
+    items.run = geom.outWidth();
+    sc.lastStats = ReuseStats{};
+    verticalReuseMultiplyInto(items, w, vslice_, families_, ledger,
+                              &sc.lastStats, y,
+                              reorder_cols ? colPerm_.data() : nullptr);
+    finishForward(sc);
+    return true;
 }
 
 const std::vector<uint32_t> &

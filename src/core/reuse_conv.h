@@ -112,6 +112,27 @@ class ReuseConvAlgo : public ConvAlgo
                       Tensor &y);
 
     /**
+     * The fused eval pass: hash, group and average the conv patches
+     * straight from the NCHW input @p x, through the column order's
+     * index table, with no im2col matrix and no reorder copy. Runs
+     * only when acceptsNchw(); otherwise returns false having done
+     * nothing. Outputs, lastStats() and ledger counts (the reorder is
+     * still charged, as the MCU kernel pays it) equal multiply() on
+     * im2col(x).
+     */
+    bool multiplyNchw(const Tensor &x, const Tensor &w,
+                      const ConvGeometry &geom, CostLedger *ledger,
+                      Tensor &y) override;
+
+    /**
+     * True when the fused pass can run this geometry on the calling
+     * stream: fitted for it, vertical direction, 1-D neuron vectors
+     * (blockRows 1), stride 1, and a row order that is the identity
+     * here (so items stay in output-pixel order).
+     */
+    bool acceptsNchw(const ConvGeometry &geom, const Tensor &w);
+
+    /**
      * multiply() for inputs already in the pattern's row/column order
      * (weights pre-permuted to match). The transformation cost is
      * charged exactly as multiply() would, so ledgers — and therefore
@@ -156,6 +177,11 @@ class ReuseConvAlgo : public ConvAlgo
                        const std::vector<uint32_t> &row_perm,
                        bool reorder_rows, const ConvGeometry &geom,
                        CostLedger *ledger, Tensor &y);
+    /** Charge the input reorder the way tryMultiplyInto does. */
+    void chargeReorder(size_t elems, CostLedger *ledger) const;
+    /** The per-layer reuse event and audit record of a finished
+     *  forward. */
+    void finishForward(const ConvStreamScratch &sc) const;
     std::vector<HashFamily> remapFamilies(ConvStreamScratch &sc,
                                           const HorizontalSlicing &plan);
     const std::vector<HashFamily> &

@@ -96,17 +96,85 @@ verticalReuseMultiply(const Tensor &x, const Tensor &w,
     return y;
 }
 
-void
-verticalReuseMultiplyInto(const Tensor &x, const Tensor &w,
-                          const VerticalSlicing &slicing,
-                          const std::vector<HashFamily> &families,
-                          OpLedger *ledger, ReuseStats *stats, Tensor &y,
-                          const uint32_t *w_rows)
+namespace {
+
+/** The kernel's input as the materialized (reordered) im2col matrix. */
+struct MatrixSource
 {
-    GENREUSE_REQUIRE(x.shape().rank() == 2 && w.shape().rank() == 2,
-                     "reuse multiply expects matrices");
-    const size_t n = x.shape().rows(), din = x.shape().cols();
+    static constexpr bool kMaterialized = true;
+    const Tensor &x;
+
+    size_t rows() const { return x.shape().rows(); }
+    size_t cols() const { return x.shape().cols(); }
+
+    StridedItems
+    slice(size_t col0, size_t width) const
+    {
+        StridedItems items;
+        items.base = x.data() + col0;
+        items.count = rows();
+        items.length = width;
+        items.itemStride = cols();
+        items.elemStride = 1;
+        return items;
+    }
+
+    /** Row @p row's columns [col0, col0 + width), read in place. */
+    const float *
+    rowSlice(size_t row, size_t col0, size_t width, float *scratch) const
+    {
+        (void)width;
+        (void)scratch;
+        return x.data() + row * cols() + col0;
+    }
+};
+
+/** The kernel's input as the im2col matrix read in place. */
+struct GatheredSource
+{
+    static constexpr bool kMaterialized = false;
+    const GatheredItems &all; //!< every column, in the pattern's order
+
+    size_t rows() const { return all.count; }
+    size_t cols() const { return all.length; }
+
+    GatheredItems
+    slice(size_t col0, size_t width) const
+    {
+        GatheredItems items = all;
+        items.length = width;
+        items.elemOffset = all.elemOffset + col0;
+        return items;
+    }
+
+    /** Row @p row's columns [col0, col0 + width), gathered into
+     *  @p scratch (width floats). */
+    const float *
+    rowSlice(size_t row, size_t col0, size_t width, float *scratch) const
+    {
+        for (size_t j = 0; j < width; ++j)
+            scratch[j] = all.at(row, col0 + j);
+        return scratch;
+    }
+};
+
+/**
+ * The vertical kernel over either source. Neuron blocks (blockRows >
+ * 1) need the materialized matrix; the gathered source serves 1-D
+ * neuron vectors only.
+ */
+template <typename Source>
+void
+verticalReuseCore(const Source &src, const Tensor &w,
+                  const VerticalSlicing &slicing,
+                  const std::vector<HashFamily> &families, OpLedger *ledger,
+                  ReuseStats *stats, Tensor &y, const uint32_t *w_rows)
+{
+    GENREUSE_REQUIRE(w.shape().rank() == 2, "reuse multiply expects matrices");
+    const size_t n = src.rows(), din = src.cols();
     GENREUSE_REQUIRE(w.shape().rows() == din, "X/W inner dim mismatch");
+    GENREUSE_REQUIRE(Source::kMaterialized || slicing.blockRows == 1,
+                     "neuron blocks need the materialized matrix");
     const size_t m = w.shape().cols();
     GENREUSE_REQUIRE(families.size() == slicing.numSlices,
                      "need one hash family per slice: ", slicing.numSlices,
@@ -148,6 +216,10 @@ verticalReuseMultiplyInto(const Tensor &x, const Tensor &w,
     // One slice's gathered W rows, reused slice after slice.
     float *w_gather =
         w_rows ? arena.allocSpan<float>(slicing.sliceWidth * m) : nullptr;
+    // One row slice of a gathered source, for fallback slices.
+    float *row_gather = Source::kMaterialized
+                            ? nullptr
+                            : arena.allocSpan<float>(slicing.sliceWidth);
     // Cluster table scratch persists across slices AND forwards in the
     // executing stream's context: its vectors/centroids regrow to the
     // largest panel once, then steady-state reclustering is
@@ -172,8 +244,8 @@ verticalReuseMultiplyInto(const Tensor &x, const Tensor &w,
                 ldw = step * m;
             } else {
                 for (size_t i = 0; i < width; ++i) {
-                    const float *src = w.data() + w_rows[col0 + i] * m;
-                    std::copy(src, src + m, w_gather + i * m);
+                    const float *wi = w.data() + w_rows[col0 + i] * m;
+                    std::copy(wi, wi + m, w_gather + i * m);
                 }
                 w_slice = w_gather;
             }
@@ -189,17 +261,12 @@ verticalReuseMultiplyInto(const Tensor &x, const Tensor &w,
         // centroid op counts; nothing here is estimated.
         OpCounts cluster_ops;
         if (r == 1) {
-            StridedItems items;
-            items.base = x.data() + col0;
-            items.count = n;
-            items.length = width;
-            items.itemStride = din;
-            items.elemStride = 1;
-            clusterBySignatureInto(items, families[k], clusters,
-                                   &cluster_ops);
-        } else {
+            clusterBySignatureInto(src.slice(col0, width), families[k],
+                                   clusters, &cluster_ops);
+        } else if constexpr (Source::kMaterialized) {
             float *blocks = arena.allocSpan<float>(full_blocks * r * width);
-            materializeBlocksInto(x, col0, width, r, full_blocks, blocks);
+            materializeBlocksInto(src.x, col0, width, r, full_blocks,
+                                  blocks);
             OpCounts tf;
             tf.elemMoves = full_blocks * r * width;
             reportOps(ledger, Stage::Transformation, tf);
@@ -232,9 +299,9 @@ verticalReuseMultiplyInto(const Tensor &x, const Tensor &w,
                                   copy + i * m);
                     slice_w[k] = copy;
                 }
-            } else {
-                gemmRaw(x.data() + col0, w_slice, y.data(), n, m, width,
-                        din, ldw, m, true);
+            } else if constexpr (Source::kMaterialized) {
+                gemmRaw(src.x.data() + col0, w_slice, y.data(), n, m,
+                        width, din, ldw, m, true);
             }
             local.reuseMacs += n * width * m;
             local.numPanels += 1;
@@ -285,18 +352,20 @@ verticalReuseMultiplyInto(const Tensor &x, const Tensor &w,
         // ---- recover ------------------------------------------------
         profiler::ProfSpan recover_span("vertical.recover");
         for (size_t b = 0; b < full_blocks; ++b) {
-            const float *src = yc + clusters.assignments[b] * r * m;
-            simd_ops.addInto(y.data() + b * r * m, src, r * m);
+            const float *cy = yc + clusters.assignments[b] * r * m;
+            simd_ops.addInto(y.data() + b * r * m, cy, r * m);
         }
         // Remainder rows that do not fill a block: exact GEMM.
-        if (rem_rows > 0) {
-            gemmRaw(x.data() + full_blocks * r * din + col0, w_slice,
-                    y.data() + full_blocks * r * m, rem_rows, m, width,
-                    din, ldw, m, true);
-            local.reuseMacs += rem_rows * width * m;
-            OpCounts rem_mm;
-            rem_mm.macs = rem_rows * width * m;
-            reportOps(ledger, Stage::Gemm, rem_mm);
+        if constexpr (Source::kMaterialized) {
+            if (rem_rows > 0) {
+                gemmRaw(src.x.data() + full_blocks * r * din + col0,
+                        w_slice, y.data() + full_blocks * r * m, rem_rows,
+                        m, width, din, ldw, m, true);
+                local.reuseMacs += rem_rows * width * m;
+                OpCounts rem_mm;
+                rem_mm.macs = rem_rows * width * m;
+                reportOps(ledger, Stage::Gemm, rem_mm);
+            }
         }
     }
 
@@ -313,8 +382,9 @@ verticalReuseMultiplyInto(const Tensor &x, const Tensor &w,
                     // Fallback slice: this row's exact product, the
                     // same per-element sequence as the full-panel GEMM.
                     const size_t col0 = k * slicing.sliceWidth;
-                    gemmRaw(x.data() + row * din + col0, slice_w[k], yr,
-                            1, m, slicing.width(k, din), din, m, m, true);
+                    const size_t width = slicing.width(k, din);
+                    gemmRaw(src.rowSlice(row, col0, width, row_gather),
+                            slice_w[k], yr, 1, m, width, width, m, m, true);
                 }
             }
         }
@@ -334,6 +404,31 @@ verticalReuseMultiplyInto(const Tensor &x, const Tensor &w,
     audit::recordKernel(audit::Kernel::Vertical, local);
     if (stats)
         *stats += local;
+}
+
+} // namespace
+
+void
+verticalReuseMultiplyInto(const Tensor &x, const Tensor &w,
+                          const VerticalSlicing &slicing,
+                          const std::vector<HashFamily> &families,
+                          OpLedger *ledger, ReuseStats *stats, Tensor &y,
+                          const uint32_t *w_rows)
+{
+    GENREUSE_REQUIRE(x.shape().rank() == 2, "reuse multiply expects matrices");
+    verticalReuseCore(MatrixSource{x}, w, slicing, families, ledger, stats, y,
+                      w_rows);
+}
+
+void
+verticalReuseMultiplyInto(const GatheredItems &x, const Tensor &w,
+                          const VerticalSlicing &slicing,
+                          const std::vector<HashFamily> &families,
+                          OpLedger *ledger, ReuseStats *stats, Tensor &y,
+                          const uint32_t *w_rows)
+{
+    verticalReuseCore(GatheredSource{x}, w, slicing, families, ledger, stats,
+                      y, w_rows);
 }
 
 std::vector<HashFamily>

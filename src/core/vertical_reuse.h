@@ -77,6 +77,21 @@ void verticalReuseMultiplyInto(const Tensor &x, const Tensor &w,
                                const uint32_t *w_rows = nullptr);
 
 /**
+ * verticalReuseMultiplyInto() over the im2col matrix read in place:
+ * @p x views all Din columns, already in the pattern's order, as
+ * offsets into a zero-padded input (see GatheredItems). Only 1-D neuron
+ * vectors (blockRows 1). Every slice hashes, groups and averages its
+ * patches the way the materialized form does, so outputs, statistics
+ * and ledger counts are identical to running on the built matrix.
+ */
+void verticalReuseMultiplyInto(const GatheredItems &x, const Tensor &w,
+                               const VerticalSlicing &slicing,
+                               const std::vector<HashFamily> &families,
+                               OpLedger *ledger, ReuseStats *stats,
+                               Tensor &y,
+                               const uint32_t *w_rows = nullptr);
+
+/**
  * Build random hash families (the paper's lightweight profiling
  * configuration) for a slicing plan.
  */

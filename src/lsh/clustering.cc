@@ -37,6 +37,30 @@ clusterBySignature(const StridedItems &items, const HashFamily &family,
 
 namespace {
 
+/** Signature tables of at most this many bits are direct-indexed. */
+constexpr size_t kDirectTableBits = 12;
+
+/** Add item @p i into @p dst (items.length floats). */
+void
+accumulateItem(const StridedItems &items, size_t i, float *dst)
+{
+    if (items.contiguousRows()) {
+        simd::ops().addInto(dst, items.base + i * items.itemStride,
+                            items.length);
+    } else {
+        for (size_t j = 0; j < items.length; ++j)
+            dst[j] += items.at(i, j);
+    }
+}
+
+void
+accumulateItem(const GatheredItems &items, size_t i, float *dst)
+{
+    const float *src = items.base + items.itemOffset[i];
+    for (size_t j = 0; j < items.length; ++j)
+        dst[j] += src[items.elemOffset[j]];
+}
+
 /**
  * Group items by signature into @p result: assignments in first-seen
  * order, mean centroids, size histogram and CSR membership. Items
@@ -44,14 +68,16 @@ namespace {
  * each get a fresh cluster of their own — the repair path for
  * non-finite rows.
  *
- * The signature -> id map is an open-addressing table in the stream
- * arena (the std::unordered_map this replaces allocated a node per
- * distinct signature on every forward). Ids are still assigned in
- * first-seen item order, so the result is identical. @p result's
- * vectors/centroids are rebuilt in place, reusing capacity.
+ * Signatures of at most kDirectTableBits bits (@p sig_bits, the hash
+ * count) index a direct table; wider ones go through an open-addressing
+ * table. Both live in the stream arena, and either way ids are
+ * assigned in first-seen item order, so the result does not depend on
+ * the table. @p result's vectors/centroids are rebuilt in place,
+ * reusing capacity.
  */
+template <typename Items>
 void
-groupBySignature(const StridedItems &items, const uint64_t *sigs,
+groupBySignature(const Items &items, const uint64_t *sigs, size_t sig_bits,
                  const uint8_t *singleton, ClusterResult &result,
                  OpCounts *ops)
 {
@@ -60,34 +86,49 @@ groupBySignature(const StridedItems &items, const uint64_t *sigs,
 
     result.assignments.resize(items.count);
 
-    // Open-addressing signature table: pow-2 size at most half full.
-    size_t table_size = 16;
-    while (table_size < 2 * items.count)
-        table_size <<= 1;
-    const size_t mask = table_size - 1;
-    uint64_t *keys = arena.allocSpan<uint64_t>(table_size);
-    uint32_t *vals = arena.allocSpan<uint32_t>(table_size);
     constexpr uint32_t kEmpty = UINT32_MAX;
-    std::memset(vals, 0xff, table_size * sizeof(uint32_t));
-
     uint32_t next_id = 0;
-    for (size_t i = 0; i < items.count; ++i) {
-        if (singleton && singleton[i]) {
-            result.assignments[i] = next_id++;
-            continue;
+    if (sig_bits <= kDirectTableBits) {
+        const size_t table_size = size_t{1} << sig_bits;
+        uint32_t *ids = arena.allocSpan<uint32_t>(table_size);
+        std::memset(ids, 0xff, table_size * sizeof(uint32_t));
+        for (size_t i = 0; i < items.count; ++i) {
+            if (singleton && singleton[i]) {
+                result.assignments[i] = next_id++;
+                continue;
+            }
+            uint32_t &id = ids[sigs[i]];
+            if (id == kEmpty)
+                id = next_id++;
+            result.assignments[i] = id;
         }
-        const uint64_t sig = sigs[i];
-        // Fibonacci-style mix; linear probe.
-        size_t slot = static_cast<size_t>(
-                          (sig ^ (sig >> 29)) * 0x9e3779b97f4a7c15ull) &
-                      mask;
-        while (vals[slot] != kEmpty && keys[slot] != sig)
-            slot = (slot + 1) & mask;
-        if (vals[slot] == kEmpty) {
-            keys[slot] = sig;
-            vals[slot] = next_id++;
+    } else {
+        // Open-addressing table: pow-2 size at most half full.
+        size_t table_size = 16;
+        while (table_size < 2 * items.count)
+            table_size <<= 1;
+        const size_t mask = table_size - 1;
+        uint64_t *keys = arena.allocSpan<uint64_t>(table_size);
+        uint32_t *vals = arena.allocSpan<uint32_t>(table_size);
+        std::memset(vals, 0xff, table_size * sizeof(uint32_t));
+        for (size_t i = 0; i < items.count; ++i) {
+            if (singleton && singleton[i]) {
+                result.assignments[i] = next_id++;
+                continue;
+            }
+            const uint64_t sig = sigs[i];
+            // Fibonacci-style mix; linear probe.
+            size_t slot = static_cast<size_t>(
+                              (sig ^ (sig >> 29)) * 0x9e3779b97f4a7c15ull) &
+                          mask;
+            while (vals[slot] != kEmpty && keys[slot] != sig)
+                slot = (slot + 1) & mask;
+            if (vals[slot] == kEmpty) {
+                keys[slot] = sig;
+                vals[slot] = next_id++;
+            }
+            result.assignments[i] = vals[slot];
         }
-        result.assignments[i] = vals[slot];
     }
 
     const size_t nc = next_id;
@@ -95,18 +136,11 @@ groupBySignature(const StridedItems &items, const uint64_t *sigs,
     result.sizes.assign(nc, 0);
     result.centroids.resize({nc == 0 ? 1 : nc, items.length});
     result.centroids.zero();
-    const bool rows_contiguous = items.contiguousRows();
     for (size_t i = 0; i < items.count; ++i) {
         uint32_t c = result.assignments[i];
         result.sizes[c]++;
-        float *dst = result.centroids.data() + c * items.length;
-        if (rows_contiguous) {
-            simd_ops.addInto(dst, items.base + i * items.itemStride,
-                             items.length);
-        } else {
-            for (size_t j = 0; j < items.length; ++j)
-                dst[j] += items.at(i, j);
-        }
+        accumulateItem(items, i,
+                       result.centroids.data() + c * items.length);
     }
     for (size_t c = 0; c < nc; ++c) {
         float inv = 1.0f / static_cast<float>(result.sizes[c]);
@@ -163,8 +197,9 @@ centroidsPoisoned(const ClusterResult &r, size_t length)
     return false;
 }
 
+template <typename Items>
 bool
-rowFinite(const StridedItems &items, size_t i)
+rowFinite(const Items &items, size_t i)
 {
     for (size_t j = 0; j < items.length; ++j)
         if (!std::isfinite(items.at(i, j)))
@@ -173,8 +208,9 @@ rowFinite(const StridedItems &items, size_t i)
 }
 
 /** Deterministic degenerate clusterings for the fault matrix. */
+template <typename Items>
 void
-injectClusterFaults(const StridedItems &items, ClusterResult &result)
+injectClusterFaults(const Items &items, ClusterResult &result)
 {
     using faultpoint::Fault;
     if (faultpoint::active(Fault::ClusterEmpty) && items.count > 0) {
@@ -218,8 +254,9 @@ injectClusterFaults(const StridedItems &items, ClusterResult &result)
  * well as grouping — the hash MACs are charged to the same
  * Stage::Clustering ledger entry.
  */
+template <typename Items>
 void
-clusterInto(const StridedItems &items, const HashFamily *family,
+clusterInto(const Items &items, const HashFamily *family,
             const uint64_t *sigs, ClusterResult &result, OpCounts *ops)
 {
     profiler::ProfSpan pspan("lsh.cluster");
@@ -234,6 +271,8 @@ clusterInto(const StridedItems &items, const HashFamily *family,
         sigs = own;
     }
 
+    // Precomputed signatures may use any of the 64 bits.
+    size_t sig_bits = family ? family->numFunctions() : 64;
     const uint64_t *use = sigs;
     if (faultpoint::anyArmed() &&
         faultpoint::active(faultpoint::Fault::ClusterCollapse)) {
@@ -244,9 +283,10 @@ clusterInto(const StridedItems &items, const HashFamily *family,
         for (size_t i = 0; i < items.count; ++i)
             collapsed[i] = faultpoint::seed(faultpoint::Fault::ClusterCollapse);
         use = collapsed;
+        sig_bits = 64;
     }
 
-    groupBySignature(items, use, nullptr, result, ops);
+    groupBySignature(items, use, sig_bits, nullptr, result, ops);
 
     if (centroidsPoisoned(result, items.length)) {
         // Rare repair path: locate the non-finite rows (full scan is
@@ -261,7 +301,7 @@ clusterInto(const StridedItems &items, const HashFamily *family,
         uint8_t *bad = arena.allocSpan<uint8_t>(items.count);
         for (size_t i = 0; i < items.count; ++i)
             bad[i] = rowFinite(items, i) ? 0 : 1;
-        groupBySignature(items, use, bad, result, ops);
+        groupBySignature(items, use, sig_bits, bad, result, ops);
     }
 
     if (faultpoint::anyArmed())
@@ -300,6 +340,13 @@ clusterSignaturesInto(const StridedItems &items, const uint64_t *sigs,
 
 void
 clusterBySignatureInto(const StridedItems &items, const HashFamily &family,
+                       ClusterResult &result, OpCounts *ops)
+{
+    clusterInto(items, &family, nullptr, result, ops);
+}
+
+void
+clusterBySignatureInto(const GatheredItems &items, const HashFamily &family,
                        ClusterResult &result, OpCounts *ops)
 {
     clusterInto(items, &family, nullptr, result, ops);

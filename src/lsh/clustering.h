@@ -74,6 +74,17 @@ void clusterBySignatureInto(const StridedItems &items,
                             const HashFamily &family, ClusterResult &result,
                             OpCounts *ops = nullptr);
 
+/**
+ * clusterBySignatureInto() over gathered items — an im2col slice read
+ * in place from the padded input. Hashing, first-seen ids, centroid
+ * sums in ascending item order, the non-finite repair, fault
+ * injection and every counter are the same pipeline, so the result is
+ * identical to clustering the materialized slice.
+ */
+void clusterBySignatureInto(const GatheredItems &items,
+                            const HashFamily &family, ClusterResult &result,
+                            OpCounts *ops = nullptr);
+
 /** clusterSignatures() into a capacity-reusing @p result; @p sigs is a
  *  pointer span of items.count precomputed signatures. */
 void clusterSignaturesInto(const StridedItems &items, const uint64_t *sigs,

@@ -1,5 +1,7 @@
 #include "lsh.h"
 
+#include <algorithm>
+
 #include "common/arena.h"
 #include "common/logging.h"
 #include "common/simd.h"
@@ -102,6 +104,22 @@ HashFamily::signaturesInto(const StridedItems &items, uint64_t *sigs) const
 
     for (size_t i = 0; i < items.count; ++i)
         sigs[i] = signature(items, i);
+}
+
+void
+HashFamily::signaturesInto(const GatheredItems &items, uint64_t *sigs) const
+{
+    GENREUSE_REQUIRE(items.length == vectorLength(),
+                     "item length ", items.length,
+                     " != hash vector length ", vectorLength());
+    GENREUSE_REQUIRE(items.run >= 1, "gathered items need a run length");
+    const simd::Ops &ops = simd::ops();
+    for (size_t i = 0; i < items.count; i += items.run)
+        ops.gatherSignatures(items.base + items.itemOffset[i],
+                             items.elemOffset, items.length,
+                             vectors_.data(), biases_.data(),
+                             numFunctions(),
+                             std::min(items.run, items.count - i), sigs + i);
 }
 
 std::vector<uint64_t>

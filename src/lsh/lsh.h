@@ -63,6 +63,14 @@ class HashFamily
     void signaturesInto(const StridedItems &items, uint64_t *sigs) const;
 
     /**
+     * Signatures of gathered items (an im2col slice read in place),
+     * one dispatched gatherSignatures call per run of consecutive
+     * items. Bit-identical to signaturesInto() on the same items
+     * materialized as contiguous rows.
+     */
+    void signaturesInto(const GatheredItems &items, uint64_t *sigs) const;
+
+    /**
      * MAC count of hashing @p n items (n * H * L) — consumed by the MCU
      * cost model, which charges clustering as an extra X x Hash GEMM.
      */

@@ -1,6 +1,7 @@
 #include "activation.h"
 
 #include "common/logging.h"
+#include "common/simd.h"
 
 namespace genreuse {
 
@@ -12,9 +13,9 @@ ReLU::forward(const Tensor &x, bool training)
     const float *src = x.data();
     float *dst = y.data();
     if (!training) {
-        // Inference: backward() is never called, so no mask.
-        for (size_t i = 0; i < n; ++i)
-            dst[i] = src[i] > 0.0f ? src[i] : 0.0f;
+        // Inference: backward() is never called, so no mask, and the
+        // dispatched op is a branch-free max(x, 0).
+        simd::ops().relu(src, dst, n);
         return y;
     }
     mask_.resize(n);

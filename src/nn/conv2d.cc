@@ -99,37 +99,72 @@ Conv2D::forward(const Tensor &x, bool training)
     if (!training && kernelSize_ == 1 && stride_ == 1 && pad_ == 0 &&
         dynamic_cast<const ExactConvAlgo *>(algo_.get()) != nullptr)
         return forwardPointwise(x, geom);
+    const size_t im2col_elems = geom.rows() * geom.cols();
+    const Tensor *w = nullptr;
+    if (!training) {
+        // Free a matrix cached by a forward of another shape (a batched
+        // fitting forward) before the multiply. One of this shape stays
+        // until the next im2col forward replaces it, as on the im2col
+        // path: freeing it here slowed eval forwards that alternate
+        // between the two paths (exact and guarded).
+        if (cachedX_.size() != im2col_elems)
+            cachedX_ = Tensor(Shape({0}));
+        Tensor y(Shape({0, 0})); // empty: no heap block if declined
+        w = &packedWeights();
+        if (algo_->multiplyNchw(x, *w, geom, ledger_, y)) {
+            // The MCU kernel still builds its patches; charge them as
+            // the im2col path does.
+            OpCounts ops;
+            ops.elemMoves = im2col_elems;
+            reportOps(ledger_, Stage::Transformation, ops);
+            keepInputForIm2col(x, geom);
+            return finishGemmOutput(y, geom);
+        }
+    }
     Tensor cols = [&] {
         profiler::ProfSpan span("conv.im2col");
         return im2col(x, geom);
     }();
     {
         OpCounts ops;
-        ops.elemMoves = cols.size(); // one element move per matrix cell
+        ops.elemMoves = im2col_elems; // one element move per matrix cell
         reportOps(ledger_, Stage::Transformation, ops);
     }
 
-    Tensor y = algo_->multiply(cols, packedWeights(), geom, ledger_);
-
-    // Bias.
-    {
-        profiler::ProfSpan span("conv.bias");
-        const size_t n = y.shape().rows(), m = y.shape().cols();
-        const simd::Ops &simd_ops = simd::ops();
-        for (size_t r = 0; r < n; ++r)
-            simd_ops.addInto(y.data() + r * m, bias_.value.data(), m);
-        OpCounts ops;
-        ops.aluOps = n * m;      // bias adds
-        ops.elemMoves = n * m;   // fold back into activation layout
-        reportOps(ledger_, Stage::Recovering, ops);
-    }
+    if (w == nullptr)
+        w = &packedWeights();
+    Tensor y = algo_->multiply(cols, *w, geom, ledger_);
 
     // Backward needs the im2col matrix; eval keeps it for hash fitting.
     cachedX_ = std::move(cols);
     im2colPending_ = false;
     cachedGeom_ = geom;
     haveCache_ = training;
+    return finishGemmOutput(y, geom);
+}
+
+Tensor
+Conv2D::finishGemmOutput(Tensor &y, const ConvGeometry &geom)
+{
+    profiler::ProfSpan span("conv.bias");
+    const size_t n = y.shape().rows(), m = y.shape().cols();
+    const simd::Ops &simd_ops = simd::ops();
+    for (size_t r = 0; r < n; ++r)
+        simd_ops.addInto(y.data() + r * m, bias_.value.data(), m);
+    OpCounts ops;
+    ops.aluOps = n * m;    // bias adds
+    ops.elemMoves = n * m; // fold back into activation layout
+    reportOps(ledger_, Stage::Recovering, ops);
     return gemmOutputToActivation(y, geom);
+}
+
+void
+Conv2D::keepInputForIm2col(const Tensor &x, const ConvGeometry &geom)
+{
+    cachedInput_ = x;
+    im2colPending_ = true;
+    cachedGeom_ = geom;
+    haveCache_ = false;
 }
 
 Tensor
@@ -174,10 +209,7 @@ Conv2D::forwardPointwise(const Tensor &x, const ConvGeometry &geom)
         ops.elemMoves = out.size();
         reportOps(ledger_, Stage::Recovering, ops);
     }
-    cachedX_ = x;
-    im2colPending_ = true;
-    cachedGeom_ = geom;
-    haveCache_ = false;
+    keepInputForIm2col(x, geom);
     return out;
 }
 
@@ -185,7 +217,7 @@ const Tensor &
 Conv2D::lastIm2col() const
 {
     if (im2colPending_) {
-        cachedX_ = im2col(cachedX_, cachedGeom_);
+        cachedX_ = im2col(cachedInput_, cachedGeom_);
         im2colPending_ = false;
     }
     return cachedX_;

@@ -1,7 +1,9 @@
 /**
  * @file
  * im2col-GEMM convolution with a pluggable multiplication strategy
- * (1x1 exact eval forwards skip im2col and multiply the NCHW planes).
+ * (1x1 exact eval forwards skip im2col and multiply the NCHW planes;
+ * eval strategies may take the NCHW input through
+ * ConvAlgo::multiplyNchw instead of the matrix).
  * The exact strategy is a plain blocked GEMM; the reuse engine
  * (src/core) supplies alternative strategies that cluster the im2col
  * rows/columns and multiply centroids only. Backward always uses exact
@@ -39,6 +41,27 @@ class ConvAlgo
     virtual Tensor multiply(const Tensor &x, const Tensor &w,
                             const ConvGeometry &geom,
                             CostLedger *ledger) = 0;
+
+    /**
+     * Eval-mode fast path: compute Y = im2col(x) x W into @p y straight
+     * from the NCHW input @p x, without building the im2col matrix.
+     * Return false, having done nothing, to decline; Conv2D then builds
+     * the matrix and calls multiply(). A strategy that accepts must
+     * produce multiply()'s output and report its ledger ops (Conv2D
+     * still charges the im2col transformation itself). The default
+     * declines.
+     */
+    virtual bool
+    multiplyNchw(const Tensor &x, const Tensor &w, const ConvGeometry &geom,
+                 CostLedger *ledger, Tensor &y)
+    {
+        (void)x;
+        (void)w;
+        (void)geom;
+        (void)ledger;
+        (void)y;
+        return false;
+    }
 
     /** Short description for reports ("exact", "reuse[...]"). */
     virtual std::string describe() const = 0;
@@ -122,8 +145,9 @@ class Conv2D : public Layer
 
     /**
      * im2col matrix of the last forward() input (for hash learning).
-     * A 1x1 exact eval forward skips im2col and keeps its input
-     * instead; the matrix is built from it on the first call here.
+     * An eval forward that skips im2col (1x1 exact, or a strategy's
+     * multiplyNchw) keeps its input instead; the matrix is built from
+     * it on the first call here.
      */
     const Tensor &lastIm2col() const;
 
@@ -146,15 +170,23 @@ class Conv2D : public Layer
      *  strategy, as one GEMM per image on the NCHW planes. */
     Tensor forwardPointwise(const Tensor &x, const ConvGeometry &geom);
 
+    /** Bias add and fold of a GEMM-layout output (N x M) into NCHW. */
+    Tensor finishGemmOutput(Tensor &y, const ConvGeometry &geom);
+
+    /** Eval forwards that skipped im2col keep their input for
+     *  lastIm2col(). */
+    void keepInputForIm2col(const Tensor &x, const ConvGeometry &geom);
+
     /** kernelToMatrix(kernel_.value), repacked only when the kernel
      *  differs from packedFrom_, the copy it was packed from. */
     const Tensor &packedWeights();
     Tensor packedW_;
     Tensor packedFrom_;
 
-    // Caches for backward and lastIm2col(). cachedX_ holds the forward
-    // input instead of its im2col matrix while im2colPending_ is set.
+    // Caches for backward and lastIm2col(): the im2col matrix, or, while
+    // im2colPending_ is set, the input it is built from on demand.
     mutable Tensor cachedX_;
+    Tensor cachedInput_;
     mutable bool im2colPending_ = false;
     ConvGeometry cachedGeom_;
     bool haveCache_ = false;

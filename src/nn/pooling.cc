@@ -37,17 +37,34 @@ MaxPool2D::forward(const Tensor &x, bool training)
     const size_t oh = poolOut(ih, size_, stride_);
     const size_t ow = poolOut(iw, size_, stride_);
     Tensor y({s.batch(), s.channels(), oh, ow});
-    // Only backward() reads the argmax, so inference skips it.
-    uint32_t *argmax = nullptr;
-    if (training) {
-        argmax_.assign(y.size(), 0);
-        argmax = argmax_.data();
-        cachedInShape_ = s;
-        haveCache_ = true;
-    }
-
     const size_t planes = s.batch() * s.channels();
     float *dst = y.data();
+    if (!training) {
+        // Only backward() reads the argmax, so inference skips it and
+        // scans each window with a select (a max instruction) instead
+        // of a branch. v > best ? v : best keeps the first maximum's
+        // value exactly as the training scan does, NaN included.
+        for (size_t pl = 0; pl < planes; ++pl) {
+            const float *src = x.data() + pl * ih * iw;
+            for (size_t yy = 0; yy < oh; ++yy)
+                for (size_t xx = 0; xx < ow; ++xx, ++dst) {
+                    const float *win = src + yy * stride_ * iw + xx * stride_;
+                    float best = win[0];
+                    for (size_t kh = 0; kh < size_; ++kh)
+                        for (size_t kw = 0; kw < size_; ++kw) {
+                            const float v = win[kh * iw + kw];
+                            best = v > best ? v : best;
+                        }
+                    *dst = best;
+                }
+        }
+        return y;
+    }
+    argmax_.assign(y.size(), 0);
+    uint32_t *argmax = argmax_.data();
+    cachedInShape_ = s;
+    haveCache_ = true;
+
     for (size_t pl = 0; pl < planes; ++pl) {
         const float *src = x.data() + pl * ih * iw;
         for (size_t yy = 0; yy < oh; ++yy) {
@@ -66,9 +83,7 @@ MaxPool2D::forward(const Tensor &x, bool training)
                     }
                 }
                 *dst = best;
-                if (argmax)
-                    *argmax++ =
-                        static_cast<uint32_t>(pl * ih * iw + best_at);
+                *argmax++ = static_cast<uint32_t>(pl * ih * iw + best_at);
             }
         }
     }

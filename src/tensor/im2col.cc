@@ -26,7 +26,10 @@ checkGeometry(const ConvGeometry &geom)
 
 /**
  * dst = src^T for a row-major (rows x cols) @p src, in square tiles so
- * both sides stay cache-resident.
+ * both sides stay cache-resident. The inner loop walks the destination
+ * contiguously: with it innermost on the source, every store was a
+ * `rows`-float stride, which aliases in the cache when rows is a power
+ * of two (a 1024 x 64 conv output took about 8x longer).
  */
 void
 transposeInto(const float *src, size_t rows, size_t cols, float *dst)
@@ -36,9 +39,60 @@ transposeInto(const float *src, size_t rows, size_t cols, float *dst)
         const size_t r1 = std::min(rows, r0 + kTile);
         for (size_t c0 = 0; c0 < cols; c0 += kTile) {
             const size_t c1 = std::min(cols, c0 + kTile);
-            for (size_t r = r0; r < r1; ++r)
-                for (size_t c = c0; c < c1; ++c)
+            for (size_t c = c0; c < c1; ++c)
+                for (size_t r = r0; r < r1; ++r)
                     dst[c * rows + r] = src[r * cols + c];
+        }
+    }
+}
+
+} // namespace
+
+namespace {
+
+void
+checkInput(const Tensor &input, const ConvGeometry &geom)
+{
+    checkGeometry(geom);
+    GENREUSE_REQUIRE(input.shape() ==
+                     Shape({geom.batch, geom.inChannels, geom.inHeight,
+                            geom.inWidth}),
+                     "im2col input shape ", input.shape().toString(),
+                     " mismatches geometry");
+}
+
+/** Row (y, x) of image @p img's im2col matrix into @p dst. */
+void
+im2colRow(const float *img, const ConvGeometry &geom, size_t y, size_t x,
+          float *dst)
+{
+    const size_t ih = geom.inHeight, iw = geom.inWidth;
+    const size_t kh_n = geom.kernelH, kw_n = geom.kernelW;
+    const size_t plane = ih * iw;
+    // Kernel columns [kw0, kw1) land inside the image; the ones either
+    // side of that are zero padding.
+    const long sx0 = static_cast<long>(x * geom.stride) -
+                     static_cast<long>(geom.pad);
+    const size_t kw0 =
+        sx0 < 0 ? std::min(kw_n, static_cast<size_t>(-sx0)) : 0;
+    const long hi = static_cast<long>(iw) - sx0;
+    const size_t kw1 = hi <= static_cast<long>(kw0)
+                           ? kw0
+                           : std::min(kw_n, static_cast<size_t>(hi));
+    for (size_t c = 0; c < geom.inChannels; ++c) {
+        const float *chan = img + c * plane;
+        for (size_t kh = 0; kh < kh_n; ++kh, dst += kw_n) {
+            const long sy = static_cast<long>(y * geom.stride + kh) -
+                            static_cast<long>(geom.pad);
+            if (sy < 0 || sy >= static_cast<long>(ih)) {
+                std::fill(dst, dst + kw_n, 0.0f);
+                continue;
+            }
+            const float *src = chan + static_cast<size_t>(sy) * iw;
+            std::fill(dst, dst + kw0, 0.0f);
+            for (size_t kw = kw0; kw < kw1; ++kw)
+                dst[kw] = src[static_cast<size_t>(sx0 + static_cast<long>(kw))];
+            std::fill(dst + kw1, dst + kw_n, 0.0f);
         }
     }
 }
@@ -48,57 +102,85 @@ transposeInto(const float *src, size_t rows, size_t cols, float *dst)
 Tensor
 im2col(const Tensor &input, const ConvGeometry &geom)
 {
-    checkGeometry(geom);
-    GENREUSE_REQUIRE(input.shape() ==
-                     Shape({geom.batch, geom.inChannels, geom.inHeight,
-                            geom.inWidth}),
-                     "im2col input shape ", input.shape().toString(),
-                     " mismatches geometry");
-
+    checkInput(input, geom);
     const size_t oh = geom.outHeight(), ow = geom.outWidth();
-    const size_t ih = geom.inHeight, iw = geom.inWidth;
-    const size_t kh_n = geom.kernelH, kw_n = geom.kernelW;
-    const size_t plane = ih * iw;
-    Tensor out({geom.rows(), geom.cols()});
+    const size_t image = geom.inChannels * geom.inHeight * geom.inWidth;
+    const size_t cols = geom.cols();
+    Tensor out({geom.rows(), cols});
     float *dst = out.data();
-    for (size_t b = 0; b < geom.batch; ++b) {
-        const float *img = input.data() + b * geom.inChannels * plane;
-        for (size_t y = 0; y < oh; ++y) {
-            for (size_t x = 0; x < ow; ++x) {
-                // Kernel columns [kw0, kw1) land inside the image; the
-                // ones either side of that are zero padding.
-                const long sx0 = static_cast<long>(x * geom.stride) -
-                                 static_cast<long>(geom.pad);
-                const size_t kw0 =
-                    sx0 < 0 ? std::min(kw_n, static_cast<size_t>(-sx0)) : 0;
-                const long hi = static_cast<long>(iw) - sx0;
-                const size_t kw1 =
-                    hi <= static_cast<long>(kw0)
-                        ? kw0
-                        : std::min(kw_n, static_cast<size_t>(hi));
-                for (size_t c = 0; c < geom.inChannels; ++c) {
-                    const float *chan = img + c * plane;
-                    for (size_t kh = 0; kh < kh_n; ++kh, dst += kw_n) {
-                        const long sy = static_cast<long>(y * geom.stride +
-                                                          kh) -
-                                        static_cast<long>(geom.pad);
-                        if (sy < 0 || sy >= static_cast<long>(ih)) {
-                            std::fill(dst, dst + kw_n, 0.0f);
-                            continue;
-                        }
-                        const float *src =
-                            chan + static_cast<size_t>(sy) * iw;
-                        std::fill(dst, dst + kw0, 0.0f);
-                        for (size_t kw = kw0; kw < kw1; ++kw)
-                            dst[kw] = src[static_cast<size_t>(
-                                sx0 + static_cast<long>(kw))];
-                        std::fill(dst + kw1, dst + kw_n, 0.0f);
-                    }
-                }
-            }
-        }
-    }
+    for (size_t b = 0; b < geom.batch; ++b)
+        for (size_t y = 0; y < oh; ++y)
+            for (size_t x = 0; x < ow; ++x, dst += cols)
+                im2colRow(input.data() + b * image, geom, y, x, dst);
     return out;
+}
+
+void
+im2colRowsInto(const Tensor &input, const ConvGeometry &geom, size_t row0,
+               size_t step, size_t count, float *dst)
+{
+    checkInput(input, geom);
+    GENREUSE_REQUIRE(count == 0 || row0 + (count - 1) * step < geom.rows(),
+                     "im2col row out of range");
+    const size_t ow = geom.outWidth(), pixels = geom.outHeight() * ow;
+    const size_t image = geom.inChannels * geom.inHeight * geom.inWidth;
+    for (size_t k = 0; k < count; ++k, dst += geom.cols()) {
+        const size_t row = row0 + k * step;
+        const size_t b = row / pixels, p = row % pixels;
+        im2colRow(input.data() + b * image, geom, p / ow, p % ow, dst);
+    }
+}
+
+size_t
+paddedInputSize(const ConvGeometry &geom)
+{
+    return geom.batch * geom.inChannels * (geom.inHeight + 2 * geom.pad) *
+           (geom.inWidth + 2 * geom.pad);
+}
+
+void
+padInputInto(const Tensor &input, const ConvGeometry &geom, float *dst)
+{
+    checkInput(input, geom);
+    const size_t ih = geom.inHeight, iw = geom.inWidth, pad = geom.pad;
+    const size_t pw = iw + 2 * pad, ph = ih + 2 * pad;
+    const float *src = input.data();
+    for (size_t pl = 0; pl < geom.batch * geom.inChannels; ++pl) {
+        float *plane = dst + pl * ph * pw;
+        std::fill(plane, plane + pad * pw, 0.0f);
+        for (size_t y = 0; y < ih; ++y, src += iw) {
+            float *row = plane + (y + pad) * pw;
+            std::fill(row, row + pad, 0.0f);
+            std::copy(src, src + iw, row + pad);
+            std::fill(row + pad + iw, row + pw, 0.0f);
+        }
+        std::fill(plane + (ih + pad) * pw, plane + ph * pw, 0.0f);
+    }
+}
+
+void
+patchRowOffsets(const ConvGeometry &geom, uint32_t *out)
+{
+    const size_t pw = geom.inWidth + 2 * geom.pad;
+    const size_t image =
+        geom.inChannels * (geom.inHeight + 2 * geom.pad) * pw;
+    for (size_t b = 0; b < geom.batch; ++b)
+        for (size_t y = 0; y < geom.outHeight(); ++y)
+            for (size_t x = 0; x < geom.outWidth(); ++x)
+                *out++ = static_cast<uint32_t>(b * image +
+                                               y * geom.stride * pw +
+                                               x * geom.stride);
+}
+
+void
+patchColOffsets(const ConvGeometry &geom, uint32_t *out)
+{
+    const size_t pw = geom.inWidth + 2 * geom.pad;
+    const size_t plane = (geom.inHeight + 2 * geom.pad) * pw;
+    for (size_t c = 0; c < geom.inChannels; ++c)
+        for (size_t kh = 0; kh < geom.kernelH; ++kh)
+            for (size_t kw = 0; kw < geom.kernelW; ++kw)
+                *out++ = static_cast<uint32_t>(c * plane + kh * pw + kw);
 }
 
 Tensor

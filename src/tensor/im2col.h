@@ -15,6 +15,7 @@
 #define GENREUSE_TENSOR_IM2COL_H
 
 #include <cstddef>
+#include <cstdint>
 
 #include "tensor.h"
 
@@ -64,6 +65,35 @@ struct ConvGeometry
  * where the kernel hangs over the border.
  */
 Tensor im2col(const Tensor &input, const ConvGeometry &geom);
+
+/**
+ * Rows row0, row0 + step, ... (@p count rows) of im2col(input) into
+ * @p dst (count x cols(), row-major), without building the matrix.
+ */
+void im2colRowsInto(const Tensor &input, const ConvGeometry &geom,
+                    size_t row0, size_t step, size_t count, float *dst);
+
+/**
+ * In-place patch addressing, for kernels that read the im2col matrix
+ * without building it: im2col(input)[r][c] equals
+ * padded[rowOffset[r] + colOffset[c]], where padded is the input with
+ * its zero border written out, (B, C, H + 2 pad, W + 2 pad).
+ */
+size_t paddedInputSize(const ConvGeometry &geom);
+
+/** Write that zero-padded copy of @p input to @p dst
+ *  (paddedInputSize() floats). */
+void padInputInto(const Tensor &input, const ConvGeometry &geom,
+                  float *dst);
+
+/** rowOffset: each im2col row's patch origin in the padded input
+ *  (rows() entries). With stride 1 the pixels of one output row are
+ *  consecutive addresses. */
+void patchRowOffsets(const ConvGeometry &geom, uint32_t *out);
+
+/** colOffset: each default-layout column's (c, kh, kw) tap relative
+ *  to a patch origin (cols() entries). */
+void patchColOffsets(const ConvGeometry &geom, uint32_t *out);
 
 /**
  * Reverse scatter-add of a matrix gradient back to the input layout:

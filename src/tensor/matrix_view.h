@@ -9,6 +9,7 @@
 #define GENREUSE_TENSOR_MATRIX_VIEW_H
 
 #include <cstddef>
+#include <cstdint>
 
 namespace genreuse {
 
@@ -39,6 +40,37 @@ struct StridedItems
 
     /** True when items are contiguous rows (fast GEMM-able layout). */
     bool contiguousRows() const { return elemStride == 1; }
+};
+
+/**
+ * Items read in place through two offset tables:
+ *
+ *   element j of item i lives at base[itemOffset[i] + elemOffset[j]].
+ *
+ * A column slice of the im2col matrix of a zero-padded NCHW input is
+ * this view: items are output pixels, elements are (c, kh, kw) taps in
+ * the reuse pattern's column order. The matrix is never built.
+ *
+ * Items come in runs of consecutive addresses: within each run of
+ * `run` items starting at a multiple of `run`, itemOffset[i + t] =
+ * itemOffset[i] + t. Adjacent output pixels of one output row are such
+ * a run in a stride-1 convolution, and hashing vectorizes over them.
+ */
+struct GatheredItems
+{
+    const float *base = nullptr;
+    size_t count = 0;                     //!< number of items
+    size_t length = 0;                    //!< elements per item
+    const uint32_t *itemOffset = nullptr; //!< count entries
+    const uint32_t *elemOffset = nullptr; //!< length entries
+    size_t run = 1; //!< consecutive-address items per run
+
+    /** Element @p j of item @p i. */
+    float
+    at(size_t i, size_t j) const
+    {
+        return base[itemOffset[i] + elemOffset[j]];
+    }
 };
 
 } // namespace genreuse

@@ -6,7 +6,9 @@
  * forward performs ZERO heap allocations. The latter is asserted with
  * real global operator new/delete replacements that count every heap
  * call in the process, so any hidden std::vector growth, std::string
- * build or Tensor reallocation on the hot path fails the test.
+ * build or Tensor reallocation on the hot path fails the test. The same
+ * hooks record the largest block requested, which shows that a fused
+ * guarded conv forward never allocates the im2col matrix.
  */
 
 #include <atomic>
@@ -43,11 +45,18 @@
 namespace {
 
 std::atomic<uint64_t> g_heapAllocs{0};
+std::atomic<std::size_t> g_largestAlloc{0};
 
 void *
 countedAlloc(std::size_t size, std::size_t align)
 {
     g_heapAllocs.fetch_add(1, std::memory_order_relaxed);
+    std::size_t largest = g_largestAlloc.load(std::memory_order_relaxed);
+    while (size > largest &&
+           !g_largestAlloc.compare_exchange_weak(largest, size,
+                                                 std::memory_order_relaxed))
+    {
+    }
     if (size == 0)
         size = 1;
     void *p = nullptr;
@@ -65,6 +74,13 @@ uint64_t
 heapAllocCount()
 {
     return g_heapAllocs.load(std::memory_order_relaxed);
+}
+
+/** Largest single heap block requested since the last call. */
+std::size_t
+takeLargestAlloc()
+{
+    return g_largestAlloc.exchange(0, std::memory_order_relaxed);
 }
 
 } // namespace
@@ -399,6 +415,57 @@ TEST(ZeroAlloc, SteadyStateUnguardedReuseForward)
     const uint64_t before = heapAllocCount();
     algo.multiplyInto(x, w, geom, nullptr, y);
     EXPECT_EQ(heapAllocCount() - before, 0u);
+}
+
+TEST(ZeroAlloc, SteadyStateFusedGuardedForward)
+{
+    // The fused eval pass reads the NCHW input: its padded copy, patch
+    // offsets and verification rows all come from the stream arena.
+    ConvGeometry geom = smallGeom();
+    Rng rng(10);
+    Tensor x = Tensor::randomNormal({1, 3, 16, 16}, rng);
+    Tensor w = Tensor::randomNormal({75, 16}, rng);
+    GuardConfig cfg;
+    cfg.marginFactor = 1e9;
+    GuardedReuseConvAlgo algo(ReusePattern::conventional(geom, 4), cfg,
+                              HashMode::Random, 7);
+    algo.fit(im2col(x, geom), geom);
+
+    Tensor y;
+    for (int i = 0; i < 4; ++i)
+        ASSERT_TRUE(algo.multiplyNchw(x, w, geom, nullptr, y));
+    const uint64_t before = heapAllocCount();
+    ASSERT_TRUE(algo.multiplyNchw(x, w, geom, nullptr, y));
+    EXPECT_EQ(heapAllocCount() - before, 0u);
+    EXPECT_EQ(algo.lastRung(), GuardRung::FullReuse);
+}
+
+TEST(FusedConv, SteadyStateForwardAllocatesNoIm2colMatrix)
+{
+    // CifarNet conv2: N x K = 256 x 1600 floats, 1.6 MB. A fused
+    // guarded Conv2D forward still allocates its output tensors, but no
+    // heap block as large as the matrix; the im2col path does.
+    Rng rng(11);
+    Conv2D conv("conv2", 64, 64, 5, 1, 2, rng);
+    Tensor x = Tensor::randomNormal({1, 64, 16, 16}, rng);
+    const ConvGeometry geom = conv.geometry(x.shape());
+    const size_t matrix_bytes = geom.rows() * geom.cols() * sizeof(float);
+    GuardConfig cfg;
+    cfg.marginFactor = 1e9;
+    auto algo = std::make_shared<GuardedReuseConvAlgo>(
+        ReusePattern::conventional(geom, 4), cfg, HashMode::Random, 7);
+    algo->fit(im2col(x, geom), geom);
+
+    conv.setAlgo(algo);
+    for (int i = 0; i < 3; ++i)
+        (void)conv.forward(x, false);
+    (void)takeLargestAlloc();
+    (void)conv.forward(x, false);
+    EXPECT_LT(takeLargestAlloc(), matrix_bytes / 4);
+
+    conv.setAlgo(std::make_shared<test::Im2colPath>(algo));
+    (void)conv.forward(x, false);
+    EXPECT_GE(takeLargestAlloc(), matrix_bytes);
 }
 
 TEST(ZeroAlloc, SteadyStateForwardWithTracingAndTelemetryArmed)

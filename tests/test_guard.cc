@@ -4,16 +4,19 @@
  * (full reuse -> re-cluster -> exact GEMM), the bit-for-bit exact
  * fallback (the Table-4-style OOD requirement), non-finite activation
  * handling, the nan_activation fault, deploy-time downgrades, guard
- * event accounting, and the NaN-singleton LSH repair.
+ * event accounting, the NaN-singleton LSH repair, and the fused eval
+ * pass walking the same ladder as the im2col path.
  */
 
 #include <cmath>
 #include <cstring>
 #include <gtest/gtest.h>
 #include <limits>
+#include <numeric>
 
 #include "common/faultpoint.h"
 #include "common/metrics.h"
+#include "core/canary.h"
 #include "core/guard.h"
 #include "core/measurement.h"
 #include "core/reuse_conv.h"
@@ -354,6 +357,218 @@ TEST(Guard, DeployRungDowngradesInsteadOfAborting)
     McuSpec board = McuSpec::stm32f469i();
     EXPECT_EQ(deployRung(est, board), GuardRung::ExactFallback);
     EXPECT_EQ(guard::snapshot().deployDowngrades, 1u);
+}
+
+// ---- fused eval pass ---------------------------------------------------
+
+/** What one guarded conv forward leaves behind. */
+struct GuardedForward
+{
+    Tensor out;
+    GuardRung rung = GuardRung::FullReuse;
+    ReuseStats stats;
+    CostLedger ledger;
+    GuardStats guard;
+};
+
+/** A guarded algo fitted on a batch-2 sample of @p in_shape. */
+std::shared_ptr<GuardedReuseConvAlgo>
+fittedGuard(Conv2D &conv, const Tensor &sample, const ReusePattern &p,
+            const GuardConfig &cfg)
+{
+    auto algo = std::make_shared<GuardedReuseConvAlgo>(p, cfg,
+                                                       HashMode::Learned, 1);
+    const ConvGeometry g = conv.geometry(sample.shape());
+    algo->fit(im2col(sample, g), g);
+    return algo;
+}
+
+/** One eval forward through @p conv running @p algo, from zeroed
+ *  guard counters. */
+GuardedForward
+guardedForward(Conv2D &conv, std::shared_ptr<ConvAlgo> algo,
+               GuardedReuseConvAlgo &guarded, const Tensor &x)
+{
+    guard::reset();
+    GuardedForward r;
+    conv.setAlgo(std::move(algo));
+    conv.setLedger(&r.ledger);
+    r.out = conv.forward(x, false);
+    conv.setLedger(nullptr);
+    r.rung = guarded.lastRung();
+    r.stats = guarded.inner().lastStats();
+    r.guard = guard::snapshot();
+    return r;
+}
+
+/**
+ * The same forward through two identically fitted guards, one fused
+ * and one forced onto the im2col path: outputs, rungs, reuse
+ * statistics, ledgers and guard counters must agree exactly.
+ */
+void
+expectSameLadder(Conv2D &conv, const Tensor &sample, const Tensor &x,
+                 const ReusePattern &p, const GuardConfig &cfg,
+                 const std::string &what)
+{
+    // Per-stream guard state is keyed by the algorithm's address; a
+    // fresh stream keeps both guards from inheriting the state of a
+    // freed algorithm that lived at the same address.
+    StreamContext stream(1);
+    StreamContext::Bind bind(stream);
+    auto fused_algo = fittedGuard(conv, sample, p, cfg);
+    auto ref_algo = fittedGuard(conv, sample, p, cfg);
+    ASSERT_TRUE(fused_algo->inner().acceptsNchw(conv.geometry(x.shape()),
+                                                conv.weightMatrix()))
+        << what;
+    const GuardedForward fused =
+        guardedForward(conv, fused_algo, *fused_algo, x);
+    const GuardedForward ref = guardedForward(
+        conv, std::make_shared<test::Im2colPath>(ref_algo), *ref_algo, x);
+    EXPECT_TRUE(bitwiseEqual(fused.out, ref.out)) << what;
+    EXPECT_EQ(fused.rung, ref.rung) << what;
+    EXPECT_EQ(fused.stats.totalVectors, ref.stats.totalVectors) << what;
+    EXPECT_EQ(fused.stats.totalCentroids, ref.stats.totalCentroids) << what;
+    EXPECT_EQ(fused.stats.reuseMacs, ref.stats.reuseMacs) << what;
+    EXPECT_TRUE(fused.ledger == ref.ledger) << what;
+    EXPECT_EQ(fused.guard.forwards, ref.guard.forwards) << what;
+    EXPECT_EQ(fused.guard.fullReuse, ref.guard.fullReuse) << what;
+    EXPECT_EQ(fused.guard.reclusters, ref.guard.reclusters) << what;
+    EXPECT_EQ(fused.guard.reclusterWins, ref.guard.reclusterWins) << what;
+    EXPECT_EQ(fused.guard.exactFallbacks, ref.guard.exactFallbacks) << what;
+    EXPECT_EQ(fused.guard.nonFiniteInputs, ref.guard.nonFiniteInputs)
+        << what;
+    EXPECT_EQ(fused.guard.lastMeasuredError, ref.guard.lastMeasuredError)
+        << what;
+    EXPECT_EQ(fused.guard.lastErrorBudget, ref.guard.lastErrorBudget)
+        << what;
+}
+
+/** Synthetic CIFAR images averaged down to @p c channels' worth of
+ *  planes (channel k copies input channel k % 3, scaled). */
+Tensor
+imagesWithChannels(const Dataset &data, std::vector<size_t> idx, size_t c,
+                   size_t hw)
+{
+    const Tensor img = data.gatherImages(idx);
+    Tensor x({idx.size(), c, hw, hw});
+    const size_t step = img.shape().height() / hw;
+    for (size_t b = 0; b < idx.size(); ++b)
+        for (size_t ch = 0; ch < c; ++ch)
+            for (size_t y = 0; y < hw; ++y)
+                for (size_t xx = 0; xx < hw; ++xx)
+                    x.at4(b, ch, y, xx) =
+                        img.at4(b, ch % 3, y * step, xx * step) *
+                        (1.0f + 0.1f * static_cast<float>(ch / 3));
+    return x;
+}
+
+TEST(GuardFused, LadderMatchesIm2colPathAcrossShapesAndOrders)
+{
+    GuardSandbox sandbox;
+    SyntheticConfig dcfg;
+    dcfg.numSamples = 5;
+    dcfg.redundancy = 0.8f;
+    dcfg.noiseStddev = 0.03f;
+    const Dataset data = makeSyntheticCifar(dcfg);
+    struct Shape3
+    {
+        const char *name;
+        size_t in, out, kernel, pad, hw;
+    };
+    const Shape3 shapes[] = {{"cifarnet.conv1", 3, 64, 5, 2, 32},
+                             {"cifarnet.conv2", 64, 64, 5, 2, 16},
+                             {"fire4.expand_3x3", 32, 128, 3, 1, 8}};
+    size_t cases = 0;
+    for (const Shape3 &cs : shapes)
+        for (ColumnOrder order : {ColumnOrder::ChannelMajor,
+                                  ColumnOrder::PixelMajor,
+                                  ColumnOrder::KwMajor})
+            for (size_t batch : {size_t(1), size_t(3)})
+                for (size_t h : {size_t(4), size_t(8)}) {
+                    Rng rng(200 + cases);
+                    Conv2D conv("conv", cs.in, cs.out, cs.kernel, 1, cs.pad,
+                                rng);
+                    ReusePattern p;
+                    p.columnOrder = order;
+                    p.numHashes = h;
+                    p.granularity = cs.kernel * cs.kernel;
+                    std::vector<size_t> idx(batch);
+                    std::iota(idx.begin(), idx.end(), size_t(2));
+                    expectSameLadder(
+                        conv, imagesWithChannels(data, {0, 1}, cs.in, cs.hw),
+                        imagesWithChannels(data, idx, cs.in, cs.hw), p, {},
+                        std::string(cs.name) + " " + toString(order) +
+                            " b=" + std::to_string(batch) +
+                            " H=" + std::to_string(h));
+                    ++cases;
+                }
+    EXPECT_EQ(cases, 36u);
+}
+
+TEST(GuardFused, ReclusterExactNonFiniteAndDisabledRungsMatch)
+{
+    GuardSandbox sandbox;
+    ConvFixture f;
+    const Tensor sample = f.data.gatherImages({0, 1});
+    const Tensor x = f.data.gatherImages({2});
+    const ConvGeometry geom = f.conv.geometry(x.shape());
+    const ReusePattern p = ReusePattern::conventional(geom, 2);
+
+    // Any measured error blows the budget: re-cluster, then exact. The
+    // re-cluster rung builds the matrix from the NCHW input.
+    GuardConfig tight;
+    tight.marginFactor = 1e-18;
+    tight.maxReclusters = 1;
+    expectSameLadder(f.conv, sample, x, p, tight, "recluster+exact");
+
+    GuardConfig loose;
+    loose.marginFactor = 1e9;
+    Tensor poisoned = x;
+    poisoned.data()[123] = std::numeric_limits<float>::quiet_NaN();
+    expectSameLadder(f.conv, sample, poisoned, p, loose, "non-finite");
+
+    GuardConfig off;
+    off.enabled = false;
+    expectSameLadder(f.conv, sample, x, p, off, "disabled");
+
+    // The canary gathers its rows from the NCHW input on the fused
+    // path; what it measures must not depend on the path.
+    canary::setRate(1.0);
+    canary::reset();
+    expectSameLadder(f.conv, sample, x, p, loose, "canary");
+    const std::vector<canary::CanaryStats> series = canary::snapshot();
+    canary::setRate(0.0);
+    canary::reset();
+    ASSERT_EQ(series.size(), 2u);
+    EXPECT_EQ(series[0].samples, 1u);
+    EXPECT_EQ(series[0].lastError, series[1].lastError);
+}
+
+TEST(GuardFused, ArmedFaultPointKeepsTheIm2colPath)
+{
+    GuardSandbox sandbox;
+    ConvFixture f;
+    const Tensor sample = f.data.gatherImages({0, 1});
+    const Tensor x = f.data.gatherImages({2});
+    const ConvGeometry geom = f.conv.geometry(x.shape());
+    const ReusePattern p = ReusePattern::conventional(geom, 8);
+    auto algo = fittedGuard(f.conv, sample, p, {});
+    const Tensor w = f.conv.weightMatrix();
+
+    Tensor y;
+    {
+        faultpoint::Scoped scoped(faultpoint::Fault::NanActivation, 21);
+        EXPECT_FALSE(algo->multiplyNchw(x, w, geom, nullptr, y));
+        f.conv.setAlgo(algo);
+        (void)f.conv.forward(x, false);
+    }
+    // The im2col path ran the injection: exact rung on the corrupted
+    // copy.
+    EXPECT_EQ(algo->lastRung(), GuardRung::ExactFallback);
+    EXPECT_EQ(guard::snapshot().nonFiniteInputs, 1u);
+    EXPECT_TRUE(algo->multiplyNchw(x, w, geom, nullptr, y));
+    EXPECT_EQ(algo->lastRung(), GuardRung::FullReuse);
 }
 
 } // namespace

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
 #include "tensor/tensor_ops.h"
@@ -336,6 +339,61 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(3, 9, 2, 3, 2),
                       std::make_tuple(2, 7, 3, 1, 1),
                       std::make_tuple(4, 6, 8, 3, 1)));
+
+TEST(Im2col, ConvOneOutputFoldRoundTrip)
+{
+    // 1024 x 64: the 32x32, 64-channel conv1 output of CifarNet and
+    // SqueezeNet, whose power-of-two row count is the case the
+    // destination-contiguous transpose exists for.
+    Rng rng(13);
+    ConvGeometry g = makeGeom(1, 3, 32, 64, 5, 1, 2);
+    ASSERT_EQ(g.rows(), 1024u);
+    Tensor y = Tensor::randomNormal({g.rows(), g.outChannels}, rng);
+    Tensor act = gemmOutputToActivation(y, g);
+    ASSERT_TRUE(sameBytes(act, refGemmOutputToActivation(y, g)));
+    EXPECT_TRUE(sameBytes(activationToGemmOutput(act, g), y));
+}
+
+TEST(Im2col, RowGatherAndPatchOffsetsMatchTheMatrix)
+{
+    Rng rng(14);
+    for (size_t batch : {size_t(1), size_t(3)})
+        for (size_t k : {size_t(1), size_t(3), size_t(5)})
+            for (size_t stride : {size_t(1), size_t(2)})
+                for (size_t pad = 0; pad <= 2; ++pad) {
+                    ConvGeometry g = makeGeom(batch, 2, 7, 3, k, stride, pad);
+                    if (!g.valid())
+                        continue;
+                    Tensor input =
+                        Tensor::randomNormal({batch, 2, 7, 7}, rng);
+                    const Tensor cols = im2col(input, g);
+                    const size_t n = g.rows(), din = g.cols();
+
+                    // Every third row, gathered without the matrix.
+                    const size_t count = (n + 2) / 3;
+                    std::vector<float> rows(count * din);
+                    im2colRowsInto(input, g, 0, 3, count, rows.data());
+                    for (size_t r = 0; r < count; ++r)
+                        ASSERT_EQ(std::memcmp(rows.data() + r * din,
+                                              cols.data() + 3 * r * din,
+                                              din * sizeof(float)),
+                                  0)
+                            << "row " << 3 * r;
+
+                    std::vector<float> padded(paddedInputSize(g));
+                    std::vector<uint32_t> row_off(n), col_off(din);
+                    padInputInto(input, g, padded.data());
+                    patchRowOffsets(g, row_off.data());
+                    patchColOffsets(g, col_off.data());
+                    for (size_t r = 0; r < n; ++r)
+                        for (size_t c = 0; c < din; ++c)
+                            ASSERT_EQ(padded[row_off[r] + col_off[c]],
+                                      cols.at2(r, c))
+                                << "b=" << batch << " k=" << k
+                                << " s=" << stride << " pad=" << pad
+                                << " r=" << r << " c=" << c;
+                }
+}
 
 TEST(Im2col, ActivationFoldRoundTrip)
 {

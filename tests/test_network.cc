@@ -2,14 +2,19 @@
  * @file
  * Tests for Network, composite blocks (Fire, ResidualBlock), SGD, the
  * trainer, and the model factories, including bit-identity of Fire and
- * whole networks against the im2col conv path and element-loop concat.
+ * whole networks against the im2col conv path and element-loop concat,
+ * with exact convs and with fused guarded-reuse convs.
  */
 
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <memory>
+#include <numeric>
 
+#include "core/guard.h"
+#include "core/measurement.h"
+#include "core/stream_context.h"
 #include "data/synthetic.h"
 #include "models/models.h"
 #include "nn/composite.h"
@@ -177,23 +182,14 @@ refSliceChannels(const Tensor &x, size_t from, size_t count)
     return out;
 }
 
-/** Delegates to the exact strategy; not ExactConvAlgo itself, so a
- *  conv running it always takes the im2col path. */
-class WrappedExact : public ConvAlgo
+/** The exact strategy behind a wrapper, so a conv running it always
+ *  takes the im2col path. */
+std::shared_ptr<ConvAlgo>
+wrappedExact()
 {
-  public:
-    Tensor
-    multiply(const Tensor &x, const Tensor &w, const ConvGeometry &geom,
-             CostLedger *ledger) override
-    {
-        return exact_.multiply(x, w, geom, ledger);
-    }
-
-    std::string describe() const override { return "wrapped-exact"; }
-
-  private:
-    ExactConvAlgo exact_;
-};
+    return std::make_shared<test::Im2colPath>(
+        std::make_shared<ExactConvAlgo>());
+}
 
 /**
  * A Fire module rebuilt from standalone layers, composed the way
@@ -218,7 +214,7 @@ struct FireReference
         for (size_t i = 0; i < mine.size(); ++i)
             mine[i]->value = theirs[i]->value;
         for (Conv2D *c : {&squeeze, &expand1, &expand3})
-            c->setAlgo(std::make_shared<WrappedExact>());
+            c->setAlgo(wrappedExact());
     }
 
     std::vector<Param *>
@@ -328,7 +324,7 @@ Tensor
 im2colLogits(Network &net, const Tensor &x)
 {
     for (Conv2D *c : net.convLayers())
-        c->setAlgo(std::make_shared<WrappedExact>());
+        c->setAlgo(wrappedExact());
     Tensor y = net.forward(x, false);
     for (Conv2D *c : net.convLayers())
         c->resetAlgo();
@@ -357,6 +353,83 @@ TEST(Network, PointwisePathKeepsLogitsBitIdentical)
             const Tensor fast = net.forward(x, false);
             EXPECT_TRUE(sameBytes(fast, im2colLogits(net, x)))
                 << c.name << " batch=" << batch;
+        }
+}
+
+/**
+ * Guard @p targets with the conventional one-tile pattern, fitted on
+ * @p fit; with @p im2col_path each guard is wrapped so its conv always
+ * builds the im2col matrix. Returns the guards.
+ */
+std::vector<std::shared_ptr<GuardedReuseConvAlgo>>
+installGuards(Network &net, const std::vector<Conv2D *> &targets,
+              const Dataset &fit, bool im2col_path)
+{
+    std::vector<std::shared_ptr<GuardedReuseConvAlgo>> guards;
+    for (Conv2D *c : targets) {
+        ReusePattern p;
+        p.granularity = c->kernelSize() * c->kernelSize();
+        p.numHashes = 4;
+        guards.push_back(fitAndInstallGuarded(net, *c, p, fit));
+    }
+    if (im2col_path)
+        for (size_t i = 0; i < targets.size(); ++i)
+            targets[i]->setAlgo(
+                std::make_shared<test::Im2colPath>(guards[i]));
+    return guards;
+}
+
+TEST(Network, FusedGuardedReuseKeepsLogitsBitIdentical)
+{
+    // Every CifarNet conv and every SqueezeNet Fire expand_3x3 runs
+    // guarded reuse; the fused pass and the im2col path must give the
+    // same logits and take the same rungs.
+    SyntheticConfig cfg;
+    cfg.numSamples = 8;
+    cfg.redundancy = 0.8f;
+    cfg.noiseStddev = 0.03f;
+    const Dataset data = makeSyntheticCifar(cfg);
+    const Dataset fit = data.slice(0, 2);
+    for (bool squeeze : {false, true})
+        for (size_t batch : {size_t(1), size_t(3)}) {
+            Rng rng(60 + batch);
+            Network net = squeeze ? makeSqueezeNet(rng, false)
+                                  : makeCifarNet(rng);
+            std::vector<Conv2D *> targets;
+            for (Conv2D *c : net.convLayers())
+                if (!squeeze ||
+                    c->name().find("expand_3x3") != std::string::npos)
+                    targets.push_back(c);
+            const Tensor x =
+                data.slice(2, 2 + batch).gatherImages([&] {
+                    std::vector<size_t> idx(batch);
+                    std::iota(idx.begin(), idx.end(), size_t(0));
+                    return idx;
+                }());
+            const std::string what = std::string(squeeze ? "squeezenet"
+                                                         : "cifarnet") +
+                                     " batch=" + std::to_string(batch);
+
+            // A fresh stream: guard state is keyed by algorithm address.
+            StreamContext stream(1);
+            StreamContext::Bind bind(stream);
+            auto fused = installGuards(net, targets, fit, false);
+            const Tensor fused_logits = net.forward(x, false);
+            std::vector<GuardRung> fused_rungs;
+            for (size_t i = 0; i < fused.size(); ++i) {
+                // Every target was eligible, so this forward was fused.
+                EXPECT_TRUE(fused[i]->inner().acceptsNchw(
+                    targets[i]->lastGeometry(), targets[i]->weightMatrix()))
+                    << what << " " << targets[i]->name();
+                fused_rungs.push_back(fused[i]->lastRung());
+            }
+
+            auto ref = installGuards(net, targets, fit, true);
+            EXPECT_TRUE(sameBytes(fused_logits, net.forward(x, false)))
+                << what;
+            for (size_t i = 0; i < ref.size(); ++i)
+                EXPECT_EQ(fused_rungs[i], ref[i]->lastRung())
+                    << what << " " << targets[i]->name();
         }
 }
 

@@ -209,12 +209,22 @@ class GuardedConvStream : public InferenceStream
         guard_->fit(sample, geom);
     }
 
+    /** @p input is the im2col matrix, or an NCHW image that runs the
+     *  fused pass (the im2col path when the guard declines it). */
     Tensor
     infer(const Tensor &input, StreamContext &ctx) override
     {
         if (delayMs_ > 0)
             sleepMs(delayMs_);
         Tensor y;
+        if (input.shape().rank() == 4) {
+            StreamContext::Bind bind(ctx);
+            const ConvGeometry g = geomFor(input);
+            if (!guard_->multiplyNchw(input, w_, g, nullptr, y))
+                guard_->multiplyInto(ctx, im2col(input, g), w_, g, nullptr,
+                                     y);
+            return y;
+        }
         guard_->multiplyInto(ctx, input, w_, geom_, nullptr, y);
         return y;
     }
@@ -226,6 +236,14 @@ class GuardedConvStream : public InferenceStream
     }
 
   private:
+    ConvGeometry
+    geomFor(const Tensor &nchw) const
+    {
+        ConvGeometry g = geom_;
+        g.batch = nchw.shape().batch();
+        return g;
+    }
+
     ConvGeometry geom_;
     Tensor w_;
     int delayMs_ = 0;
@@ -247,16 +265,20 @@ TEST(ServeEngine, FourStreamsBitIdenticalToSequential)
                              HashMode::Learned, 1);
     ref.fit(sample, geom);
 
+    // Odd requests send the NCHW image, so streams run the fused pass
+    // concurrently with others on the im2col path; both must match the
+    // sequential im2col reference.
     const size_t kRequests = 12;
     std::vector<Tensor> inputs;
     std::vector<Tensor> expected;
     for (size_t i = 0; i < kRequests; ++i) {
         Tensor x = f.data.gatherImages({i % f.data.size()});
         f.conv.forward(x, false);
-        inputs.push_back(f.conv.lastIm2col());
+        Tensor cols = f.conv.lastIm2col();
         Tensor y;
-        ref.multiplyInto(inputs.back(), w, geom, nullptr, y);
+        ref.multiplyInto(cols, w, geom, nullptr, y);
         expected.push_back(y);
+        inputs.push_back(i % 2 ? x : cols);
     }
 
     ServeConfig cfg;
@@ -350,6 +372,9 @@ TEST(ServeEngine, EightStreamsShareOneFittedAlgo)
         contexts.push_back(std::make_unique<StreamContext>(
             static_cast<uint16_t>(t + 1)));
 
+    // Odd iterations run the fused pass from the NCHW images the
+    // sample matrix was built from.
+    const Tensor images = f.data.gatherImages({0, 1});
     std::vector<int> ok(kThreads, 0);
     std::vector<std::thread> threads;
     for (size_t t = 0; t < kThreads; ++t)
@@ -358,7 +383,13 @@ TEST(ServeEngine, EightStreamsShareOneFittedAlgo)
             int good = 0;
             for (size_t i = 0; i < kIters; ++i) {
                 Tensor y;
-                algo.multiplyInto(ctx, sample, w, geom, nullptr, y);
+                if (i % 2) {
+                    StreamContext::Bind bind(ctx);
+                    if (!algo.multiplyNchw(images, w, geom, nullptr, y))
+                        continue;
+                } else {
+                    algo.multiplyInto(ctx, sample, w, geom, nullptr, y);
+                }
                 good += bitwiseEqual(y, expected) ? 1 : 0;
             }
             ok[t] = good;

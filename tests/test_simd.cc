@@ -2,11 +2,14 @@
  * @file
  * Parity matrix for the runtime SIMD dispatch layer (common/simd.h):
  * every entry of the ops table — gemmF32, gemmInt8, addInto,
- * scaleInPlace, signProject, allFinite — is compared against the scalar oracle
+ * scaleInPlace, signProject, allFinite, relu, gatherSignatures — is
+ * compared against the scalar oracle
  * over ragged shapes (sizes that are not multiples of any vector
  * width), plus the dispatch plumbing itself: level parsing, explicit
  * table selection, fallback for unavailable levels, and the
- * setActiveLevel() test hook.
+ * setActiveLevel() test hook. The eval max-pool's branch-free window
+ * scan is checked against the training scan on the same special values
+ * as relu.
  *
  * The float comparisons use a ULP distance with a bound of ZERO: the
  * design contract (DESIGN.md "Kernel dispatch & arena") is that vector
@@ -20,11 +23,15 @@
 #include <cstdint>
 #include <cstring>
 #include <gtest/gtest.h>
+#include <iterator>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/simd.h"
+#include "nn/pooling.h"
+#include "tensor/tensor.h"
 
 namespace genreuse {
 namespace {
@@ -88,6 +95,8 @@ TEST(SimdDispatch, TablesAreComplete)
         EXPECT_NE(t.scaleInPlace, nullptr);
         EXPECT_NE(t.signProject, nullptr);
         EXPECT_NE(t.allFinite, nullptr);
+        EXPECT_NE(t.relu, nullptr);
+        EXPECT_NE(t.gatherSignatures, nullptr);
         if (!simd::available(lvl)) {
             // Unavailable levels fall back to the scalar oracle.
             EXPECT_EQ(t.level, simd::Level::Scalar);
@@ -366,6 +375,128 @@ TEST(SimdParity, SignProjectExactZeroBoundary)
     scalar.signProject(proj.data(), biases.data(), count, h, s0.data());
     vec.signProject(proj.data(), biases.data(), count, h, s1.data());
     EXPECT_EQ(s0, s1);
+}
+
+/** Random values with NaN (both signs), +/-0, +/-Inf, +/-denormals
+ *  and +/-FLT_MAX planted every few elements. */
+std::vector<float>
+specialFloats(size_t n, Rng &rng)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const float den = std::numeric_limits<float>::denorm_min();
+    const float kSpecial[] = {nan,  -nan, 0.0f, -0.0f, inf,  -inf,
+                              den,  -den, 3 * den, -5 * den,
+                              std::numeric_limits<float>::max(),
+                              -std::numeric_limits<float>::max()};
+    std::vector<float> v = randomFloats(n, rng);
+    for (size_t i = 0; i < n; i += 3)
+        v[i] = kSpecial[rng.uniformInt(std::size(kSpecial))];
+    return v;
+}
+
+bool
+sameBits(const std::vector<float> &a, const std::vector<float> &b)
+{
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+TEST(SimdParity, ReluMatchesOracleOnSpecialValues)
+{
+    const simd::Ops &scalar = simd::opsFor(simd::Level::Scalar);
+    const simd::Ops &vec = simd::opsFor(simd::detect());
+    Rng rng(21);
+    for (size_t n : {size_t(0), size_t(1), size_t(7), size_t(8), size_t(9),
+                     size_t(33), size_t(100)}) {
+        const std::vector<float> x = specialFloats(n, rng);
+        std::vector<float> ref(n), y0(n, 7.0f), y1(n, 7.0f);
+        for (size_t i = 0; i < n; ++i)
+            ref[i] = x[i] > 0.0f ? x[i] : 0.0f;
+        scalar.relu(x.data(), y0.data(), n);
+        vec.relu(x.data(), y1.data(), n);
+        EXPECT_TRUE(sameBits(y0, ref)) << "n=" << n;
+        EXPECT_TRUE(sameBits(y1, ref)) << "n=" << n;
+    }
+}
+
+TEST(SimdParity, GatherSignaturesMatchOracleAndGemmPath)
+{
+    // The fused conv pass hashes patches in place; its bits must be the
+    // ones the GEMM path computes on the materialized rows, including
+    // across the GEMM's 256-wide k-blocks.
+    const simd::Ops &scalar = simd::opsFor(simd::Level::Scalar);
+    const simd::Ops &vec = simd::opsFor(simd::detect());
+    Rng rng(22);
+    const size_t span = 700;
+    for (size_t len : {size_t(1), size_t(7), size_t(25), size_t(300),
+                       size_t(600)})
+        for (size_t h : {size_t(1), size_t(4), size_t(8), size_t(9),
+                         size_t(16)})
+            for (size_t count : {size_t(1), size_t(5), size_t(8), size_t(16),
+                                 size_t(19)}) {
+                std::vector<float> x = randomFloats(span + count, rng);
+                for (size_t i = 0; i < x.size(); i += 11)
+                    x[i] = i % 2 ? std::numeric_limits<float>::denorm_min()
+                                 : -0.0f;
+                std::vector<uint32_t> off(len);
+                for (uint32_t &o : off)
+                    o = static_cast<uint32_t>(rng.uniformInt(span));
+                const std::vector<float> v = randomFloats(h * len, rng);
+
+                // The GEMM path's projections of the materialized rows,
+                // S = X x V^T.
+                std::vector<float> rows(count * len), vt(len * h);
+                for (size_t i = 0; i < count; ++i)
+                    for (size_t j = 0; j < len; ++j)
+                        rows[i * len + j] = x[i + off[j]];
+                for (size_t f = 0; f < h; ++f)
+                    for (size_t j = 0; j < len; ++j)
+                        vt[j * h + f] = v[f * len + j];
+                std::vector<float> proj(count * h);
+                vec.gemmF32(rows.data(), vt.data(), proj.data(), count, h,
+                            len, len, h, h, false);
+                // Biases cancel one item's projection exactly, so any
+                // other summation order (a missing k-block split, FMA)
+                // flips that item's bits.
+                std::vector<float> biases(h);
+                for (size_t f = 0; f < h; ++f)
+                    biases[f] = -proj[(f % count) * h + f];
+
+                std::vector<uint64_t> s0(count, ~0ull), s1(count, ~0ull),
+                    s2(count);
+                scalar.gatherSignatures(x.data(), off.data(), len, v.data(),
+                                        biases.data(), h, count, s0.data());
+                vec.gatherSignatures(x.data(), off.data(), len, v.data(),
+                                     biases.data(), h, count, s1.data());
+                vec.signProject(proj.data(), biases.data(), count, h,
+                                s2.data());
+                ASSERT_EQ(s0, s2)
+                    << "len=" << len << " h=" << h << " count=" << count;
+                ASSERT_EQ(s1, s2)
+                    << "len=" << len << " h=" << h << " count=" << count;
+            }
+}
+
+TEST(SimdParity, EvalMaxPoolMatchesTrainingScanOnSpecialValues)
+{
+    // The training scan (branch per element, first maximum wins) is the
+    // oracle for the eval scan's select.
+    Rng rng(23);
+    for (auto [size, stride] : {std::pair<size_t, size_t>{2, 2}, {3, 1},
+                                {3, 2}}) {
+        MaxPool2D pool("pool", size, stride);
+        const std::vector<float> v = specialFloats(2 * 3 * 9 * 9, rng);
+        const Tensor x(Shape({2, 3, 9, 9}), v);
+        const Tensor eval = pool.forward(x, false);
+        const Tensor train = pool.forward(x, true);
+        ASSERT_EQ(eval.shape(), train.shape());
+        EXPECT_EQ(std::memcmp(eval.data(), train.data(),
+                              eval.size() * sizeof(float)),
+                  0)
+            << "size=" << size << " stride=" << stride;
+    }
 }
 
 TEST(SimdParity, ActiveTableMatchesOpsForActiveLevel)

@@ -9,8 +9,10 @@
 
 #include <cstring>
 #include <functional>
+#include <memory>
 
 #include "common/rng.h"
+#include "nn/conv2d.h"
 #include "tensor/tensor.h"
 
 namespace genreuse::test {
@@ -109,6 +111,36 @@ gradientCheck(const std::function<double()> &f, Tensor &t,
     }
     return worst;
 }
+
+/**
+ * Delegates multiply() to @p inner but declines multiplyNchw(), so a
+ * conv running it always builds the im2col matrix: the reference the
+ * fused eval pass is compared against.
+ */
+class Im2colPath : public ConvAlgo
+{
+  public:
+    explicit Im2colPath(std::shared_ptr<ConvAlgo> inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    Tensor
+    multiply(const Tensor &x, const Tensor &w, const ConvGeometry &geom,
+             CostLedger *ledger) override
+    {
+        return inner_->multiply(x, w, geom, ledger);
+    }
+
+    std::string
+    describe() const override
+    {
+        return "im2col(" + inner_->describe() + ")";
+    }
+
+  private:
+    std::shared_ptr<ConvAlgo> inner_;
+};
 
 } // namespace genreuse::test
 

@@ -3,8 +3,10 @@
  * Tests for the vertical (deep) reuse GEMM: exactness on perfectly
  * redundant inputs, bounded error on noisy inputs, slicing plans,
  * 2-D neuron blocks, remainder handling, statistics and cost ledgers,
- * and bit-exactness of the row-outer recovery and the per-slice weight
- * row gather against their straightforward formulations.
+ * bit-exactness of the row-outer recovery and the per-slice weight
+ * row gather against their straightforward formulations, and the
+ * fused eval pass (patches hashed, grouped and averaged straight from
+ * NCHW) against the im2col path.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +15,11 @@
 #include <numeric>
 #include <random>
 
+#include "common/arena.h"
+#include "common/faultpoint.h"
 #include "core/reorder.h"
+#include "core/reuse_conv.h"
+#include "core/stream_context.h"
 #include "core/vertical_reuse.h"
 #include "lsh/clustering.h"
 #include "tensor/gemm.h"
@@ -290,6 +296,240 @@ TEST_P(VerticalGranularitySweep, AllGranularitiesProduceBoundedError)
 
 INSTANTIATE_TEST_SUITE_P(Granularities, VerticalGranularitySweep,
                          ::testing::Values(4, 6, 8, 12, 24));
+
+// ---- fused eval pass ------------------------------------------------
+
+/** A stride-1 conv geometry of the benchmark models. */
+struct ConvShape
+{
+    const char *name;
+    size_t in, out, kernel, pad, hw;
+};
+
+constexpr ConvShape kCifarConv1{"cifarnet.conv1", 3, 64, 5, 2, 32};
+constexpr ConvShape kCifarConv2{"cifarnet.conv2", 64, 64, 5, 2, 16};
+constexpr ConvShape kFireExpand3{"fire4.expand_3x3", 32, 128, 3, 1, 8};
+
+/** NCHW input whose 4x4 tiles repeat a few prototypes (plus zeros),
+ *  so slices hold multi-member clusters. */
+Tensor
+tiledInput(size_t batch, size_t c, size_t hw, Rng &rng)
+{
+    Tensor protos = Tensor::randomNormal({4, c, 4, 4}, rng);
+    Tensor x({batch, c, hw, hw});
+    for (size_t b = 0; b < batch; ++b)
+        for (size_t ty = 0; ty < hw / 4; ++ty)
+            for (size_t tx = 0; tx < hw / 4; ++tx) {
+                const size_t p = rng.uniformInt(5);
+                if (p == 4)
+                    continue; // an all-zero tile
+                for (size_t ch = 0; ch < c; ++ch)
+                    for (size_t y = 0; y < 4; ++y)
+                        for (size_t xx = 0; xx < 4; ++xx)
+                            x.at4(b, ch, ty * 4 + y, tx * 4 + xx) =
+                                protos.at4(p, ch, y, xx);
+            }
+    return x;
+}
+
+bool
+sameStats(const ReuseStats &a, const ReuseStats &b)
+{
+    return a.totalVectors == b.totalVectors &&
+           a.totalCentroids == b.totalCentroids &&
+           a.numPanels == b.numPanels && a.exactMacs == b.exactMacs &&
+           a.reuseMacs == b.reuseMacs;
+}
+
+/** A reuse algo fitted on a batch-2 sample of @p conv's input shape. */
+std::shared_ptr<ReuseConvAlgo>
+fittedAlgo(Conv2D &conv, const ConvShape &cs, const ReusePattern &p,
+           Rng &rng)
+{
+    auto algo = std::make_shared<ReuseConvAlgo>(p);
+    const Tensor sample = tiledInput(2, cs.in, cs.hw, rng);
+    const ConvGeometry g = conv.geometry(sample.shape());
+    algo->fit(im2col(sample, g), g);
+    return algo;
+}
+
+/** Forward @p x through @p conv running @p algo fused, then through
+ *  the im2col path; outputs, reuse statistics and ledgers must match
+ *  bit for bit. The fused forward's statistics go to @p fused_out. */
+void
+expectFusedMatchesIm2col(Conv2D &conv, std::shared_ptr<ReuseConvAlgo> algo,
+                         const Tensor &x, const std::string &what,
+                         ReuseStats *fused_out = nullptr)
+{
+    // Stream scratch is keyed by algorithm address: start clean.
+    StreamContext stream(1);
+    StreamContext::Bind bind(stream);
+    const ConvGeometry geom = conv.geometry(x.shape());
+    ASSERT_TRUE(algo->acceptsNchw(geom, conv.weightMatrix())) << what;
+    CostLedger fused_ledger, ref_ledger;
+    conv.setAlgo(algo);
+    conv.setLedger(&fused_ledger);
+    const Tensor fused = conv.forward(x, false);
+    const ReuseStats fused_stats = algo->lastStats();
+    conv.setAlgo(std::make_shared<test::Im2colPath>(algo));
+    conv.setLedger(&ref_ledger);
+    const Tensor ref = conv.forward(x, false);
+    conv.setLedger(nullptr);
+    EXPECT_TRUE(sameBytes(fused, ref)) << what;
+    EXPECT_TRUE(sameStats(fused_stats, algo->lastStats())) << what;
+    if (fused_out)
+        *fused_out = fused_stats;
+    EXPECT_TRUE(fused_ledger == ref_ledger) << what;
+}
+
+TEST(FusedReuse, MatchesIm2colPathBitForBit)
+{
+    size_t cases = 0;
+    for (const ConvShape &cs : {kCifarConv1, kCifarConv2, kFireExpand3})
+        for (ColumnOrder order : {ColumnOrder::ChannelMajor,
+                                  ColumnOrder::PixelMajor,
+                                  ColumnOrder::KwMajor})
+            for (size_t batch : {size_t(1), size_t(3)})
+                for (size_t h : {size_t(4), size_t(8)}) {
+                    Rng rng(100 + cases);
+                    Conv2D conv("conv", cs.in, cs.out, cs.kernel, 1, cs.pad,
+                                rng);
+                    ReusePattern p;
+                    p.columnOrder = order;
+                    p.numHashes = h;
+                    // One tile per slice, or slices wider than the
+                    // GEMM's 256-wide k-block (the whole row on conv1).
+                    p.granularity = cases % 2 == 0 ? cs.kernel * cs.kernel
+                                                   : 300;
+                    p.granularity = std::min(
+                        p.granularity, cs.in * cs.kernel * cs.kernel);
+                    auto algo = fittedAlgo(conv, cs, p, rng);
+                    const Tensor x = tiledInput(batch, cs.in, cs.hw, rng);
+                    const std::string what =
+                        std::string(cs.name) + " " + toString(order) +
+                        " b=" + std::to_string(batch) +
+                        " H=" + std::to_string(h) +
+                        " L=" + std::to_string(p.granularity);
+                    ReuseStats stats;
+                    expectFusedMatchesIm2col(conv, algo, x, what, &stats);
+                    EXPECT_GT(stats.totalCentroids, 0u) << what;
+                    ++cases;
+                }
+    EXPECT_EQ(cases, 36u);
+}
+
+TEST(FusedReuse, WideSignaturesAndCustomOrderMatchIm2colPath)
+{
+    // H = 16 groups through the open-addressing table, not the direct
+    // one; a custom column order is just another index table.
+    Rng rng(7);
+    Conv2D conv("conv", kFireExpand3.in, kFireExpand3.out, 3, 1, 1, rng);
+    ReusePattern p;
+    p.numHashes = 16;
+    p.granularity = 9;
+    p.columnOrder = ColumnOrder::Custom;
+    p.customColumnPerm.resize(kFireExpand3.in * 9);
+    std::iota(p.customColumnPerm.begin(), p.customColumnPerm.end(), 0u);
+    std::shuffle(p.customColumnPerm.begin(), p.customColumnPerm.end(),
+                 std::mt19937(3));
+    auto algo = fittedAlgo(conv, kFireExpand3, p, rng);
+    expectFusedMatchesIm2col(conv, algo, tiledInput(2, 32, 8, rng),
+                             "H=16 custom order");
+}
+
+TEST(FusedReuse, CorruptClusterTablesFallBackLikeTheIm2colPath)
+{
+    // Fault-injected cluster tables downgrade slices to exact GEMM; the
+    // fused pass gathers each row's slice for that, and must land on
+    // the same bits as the im2col path under the same faults.
+    Rng rng(11);
+    Conv2D conv("conv", kFireExpand3.in, kFireExpand3.out, 3, 1, 1, rng);
+    ReusePattern p;
+    p.granularity = 9;
+    p.columnOrder = ColumnOrder::PixelMajor;
+    auto algo = fittedAlgo(conv, kFireExpand3, p, rng);
+    const Tensor x = tiledInput(1, kFireExpand3.in, kFireExpand3.hw, rng);
+    for (faultpoint::Fault fault : {faultpoint::Fault::CorruptClusterIds,
+                                    faultpoint::Fault::ClusterEmpty}) {
+        faultpoint::Scoped scoped(fault, 5);
+        expectFusedMatchesIm2col(conv, algo, x,
+                                 faultpoint::faultName(fault));
+    }
+}
+
+TEST(FusedReuse, IneligibleCasesKeepTheIm2colPath)
+{
+    Rng rng(8);
+    const Tensor x = tiledInput(1, 8, 8, rng);
+    auto declines = [&](Conv2D &conv, const ReusePattern &p) {
+        auto algo = std::make_shared<ReuseConvAlgo>(p, HashMode::Random);
+        const ConvGeometry g = conv.geometry(x.shape());
+        algo->fit(im2col(x, g), g);
+        Tensor y;
+        EXPECT_FALSE(algo->multiplyNchw(x, conv.weightMatrix(), g, nullptr,
+                                        y));
+        // Conv2D then runs the im2col path: same output as forcing it.
+        conv.setAlgo(algo);
+        const Tensor out = conv.forward(x, false);
+        conv.setAlgo(std::make_shared<test::Im2colPath>(algo));
+        EXPECT_TRUE(sameBytes(out, conv.forward(x, false)));
+    };
+    ReusePattern plain;
+    plain.granularity = 9;
+    Conv2D strided("strided", 8, 4, 3, 2, 1, rng);
+    declines(strided, plain);
+
+    Conv2D conv("conv", 8, 4, 3, 1, 1, rng);
+    ReusePattern blocks = plain;
+    blocks.blockRows = 2;
+    declines(conv, blocks);
+    ReusePattern horizontal = plain;
+    horizontal.direction = ReuseDirection::Horizontal;
+    horizontal.granularity = 16;
+    declines(conv, horizontal);
+
+    // An unfitted algorithm declines too, and the im2col path reports
+    // the error as before.
+    ReuseConvAlgo unfitted(plain);
+    Tensor y;
+    EXPECT_FALSE(unfitted.multiplyNchw(x, conv.weightMatrix(),
+                                       conv.geometry(x.shape()), nullptr, y));
+}
+
+TEST(FusedReuse, LastIm2colIsBuiltLazilyFromTheInput)
+{
+    Rng rng(9);
+    Conv2D conv("conv", kCifarConv2.in, kCifarConv2.out, 5, 1, 2, rng);
+    ReusePattern p;
+    p.granularity = 25;
+    auto algo = fittedAlgo(conv, kCifarConv2, p, rng);
+    conv.setAlgo(algo);
+    const Tensor x = tiledInput(1, kCifarConv2.in, kCifarConv2.hw, rng);
+    (void)conv.forward(x, false);
+    EXPECT_TRUE(sameBytes(conv.lastIm2col(),
+                          im2col(x, conv.geometry(x.shape()))));
+}
+
+TEST(FusedReuse, SteadyStateScratchStaysBelowTheMatrix)
+{
+    // The fused pass's scratch is the padded input plus per-slice
+    // tables, all in the stream arena: on CifarNet conv2 the arena's
+    // high-water stays well under the N x K matrix it replaces.
+    Rng rng(10);
+    Conv2D conv("conv", kCifarConv2.in, kCifarConv2.out, 5, 1, 2, rng);
+    ReusePattern p;
+    p.granularity = 25;
+    auto algo = fittedAlgo(conv, kCifarConv2, p, rng);
+    conv.setAlgo(algo);
+    const Tensor x = tiledInput(1, kCifarConv2.in, kCifarConv2.hw, rng);
+    const ConvGeometry g = conv.geometry(x.shape());
+    StreamContext ctx(7);
+    StreamContext::Bind bind(ctx);
+    for (int i = 0; i < 3; ++i)
+        (void)conv.forward(x, false);
+    const size_t matrix_bytes = g.rows() * g.cols() * sizeof(float);
+    EXPECT_LT(ctx.arena().capacityBytes(), matrix_bytes / 2);
+}
 
 } // namespace
 } // namespace genreuse
