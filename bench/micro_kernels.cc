@@ -177,6 +177,88 @@ BM_ClusterBySignature(benchmark::State &state)
 }
 BENCHMARK(BM_ClusterBySignature);
 
+/** The dispatched table (arg 0) or the scalar oracle (arg 1). */
+const simd::Ops &
+opsForArg(int64_t arg)
+{
+    return arg == 0 ? simd::ops() : simd::opsFor(simd::Level::Scalar);
+}
+
+void
+BM_ClusterSums(benchmark::State &state)
+{
+    // One slice's unscaled centroid sums read in place from a padded
+    // input, as the fused reuse pass computes them. Args: shape (0 =
+    // CifarNet conv2, channel 0's 5x5 taps (C1), 256 pixels in 10
+    // clusters; 1 = Fire4 expand_3x3, nine channels at one tap (C2),
+    // 64 pixels in 48 clusters) and kernel (0 = dispatched, 1 = scalar
+    // oracle).
+    const bool fire = state.range(0) == 1;
+    const size_t side = fire ? 8 : 16, k = fire ? 3 : 5, pad = k / 2;
+    const size_t pw = side + 2 * pad, plane = pw * pw;
+    const size_t n = side * side, nc = fire ? 48 : 10;
+    Rng rng(6);
+    const Tensor x = Tensor::randomNormal({32 * plane}, rng);
+    std::vector<uint32_t> item_off(n), elem_off;
+    for (size_t i = 0; i < n; ++i)
+        item_off[i] = static_cast<uint32_t>(i / side * pw + i % side);
+    if (fire) {
+        for (size_t c = 0; c < 9; ++c)
+            elem_off.push_back(static_cast<uint32_t>(c * plane + pw + 1));
+    } else {
+        for (size_t kh = 0; kh < k; ++kh)
+            for (size_t kw = 0; kw < k; ++kw)
+                elem_off.push_back(static_cast<uint32_t>(kh * pw + kw));
+    }
+    // CSR membership of a random assignment that uses every cluster.
+    std::vector<uint32_t> assign(n);
+    for (size_t i = 0; i < n; ++i)
+        assign[i] = static_cast<uint32_t>(i < nc ? i : rng.uniformInt(nc));
+    std::vector<size_t> offsets(nc + 1, 0);
+    for (uint32_t c : assign)
+        ++offsets[c + 1];
+    for (size_t c = 0; c < nc; ++c)
+        offsets[c + 1] += offsets[c];
+    std::vector<uint32_t> members(n);
+    std::vector<size_t> cursor(offsets.begin(), offsets.end() - 1);
+    for (size_t i = 0; i < n; ++i)
+        members[cursor[assign[i]]++] = static_cast<uint32_t>(i);
+    std::vector<float> sums(nc * elem_off.size());
+    const simd::Ops &ops = opsForArg(state.range(1));
+    for (auto _ : state) {
+        ops.clusterSums(x.data(), item_off.data(), elem_off.data(),
+                        elem_off.size(), offsets.data(), members.data(), nc,
+                        sums.data());
+        benchmark::DoNotOptimize(sums.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(std::string(fire ? "fire4.C2" : "conv2.C1") + " " +
+                   ops.name);
+}
+BENCHMARK(BM_ClusterSums)
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1});
+
+void
+BM_MaxPoolEval(benchmark::State &state)
+{
+    // CifarNet pool1's eval forward, 64 x 32 x 32 -> 16 x 16. Arg:
+    // kernel (0 = dispatched, 1 = scalar oracle).
+    Rng rng(7);
+    const Tensor x = Tensor::randomNormal({1, 64, 32, 32}, rng);
+    Tensor y({1, 64, 16, 16});
+    const simd::Ops &ops = opsForArg(state.range(0));
+    for (auto _ : state) {
+        ops.maxPool2x2(x.data(), 64, 32, 32, 16, 16, y.data());
+        benchmark::DoNotOptimize(y.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(ops.name);
+}
+BENCHMARK(BM_MaxPoolEval)->Arg(0)->Arg(1);
+
 void
 BM_ExactGemmRedundant(benchmark::State &state)
 {

@@ -17,7 +17,9 @@ namespace genreuse::simd {
 // f32 GEMM (1x8 register tiling over the k-panel) is the pre-dispatch
 // genreuse::gemmRaw verbatim, and the int8 kernel mirrors int8Matmul's
 // original accumulation. Vector tables must reproduce these
-// bit-for-bit (see simd.h).
+// bit-for-bit (see simd.h). The oracles with external linkage are the
+// ones vector tables share: as their whole entry (NEON) or for the
+// edges their vector loop leaves (AVX2 transpose).
 
 namespace {
 
@@ -177,10 +179,92 @@ gatherSignaturesScalar(const float *x, const uint32_t *off, size_t len,
     }
 }
 
+} // namespace
+
+void
+clusterSumsScalar(const float *x, const uint32_t *itemOff,
+                  const uint32_t *elemOff, size_t len,
+                  const size_t *memberOffsets, const uint32_t *members,
+                  size_t nc, float *sums)
+{
+    for (size_t c = 0; c < nc; ++c) {
+        float *dst = sums + c * len;
+        std::fill(dst, dst + len, 0.0f);
+        for (size_t k = memberOffsets[c]; k < memberOffsets[c + 1]; ++k) {
+            const float *src = x + itemOff[members[k]];
+            for (size_t j = 0; j < len; ++j)
+                dst[j] += src[elemOff[j]];
+        }
+    }
+}
+
+void
+maxPool2x2Scalar(const float *src, size_t planes, size_t ih, size_t iw,
+                 size_t oh, size_t ow, float *dst)
+{
+    for (size_t pl = 0; pl < planes; ++pl) {
+        const float *plane = src + pl * ih * iw;
+        for (size_t yy = 0; yy < oh; ++yy)
+            for (size_t xx = 0; xx < ow; ++xx, ++dst) {
+                const float *win = plane + 2 * yy * iw + 2 * xx;
+                float best = win[0];
+                for (size_t kh = 0; kh < 2; ++kh)
+                    for (size_t kw = 0; kw < 2; ++kw) {
+                        const float v = win[kh * iw + kw];
+                        best = v > best ? v : best;
+                    }
+                *dst = best;
+            }
+    }
+}
+
+/**
+ * In square tiles so both sides stay cache-resident; the inner loop
+ * walks the destination contiguously. With it innermost on the source,
+ * every store was a `rows`-float stride, which aliases in the cache
+ * when rows is a power of two (a 1024 x 64 conv output took about 8x
+ * longer).
+ *
+ * transposeScalar() of source rows [r0, r1) x columns [c0, c1) only.
+ */
+void
+transposeTileScalar(const float *src, size_t rows, size_t cols, size_t r0,
+                    size_t r1, size_t c0, size_t c1, float *dst)
+{
+    constexpr size_t kTile = 16;
+    for (size_t t0 = r0; t0 < r1; t0 += kTile) {
+        const size_t t1 = std::min(r1, t0 + kTile);
+        for (size_t u0 = c0; u0 < c1; u0 += kTile) {
+            const size_t u1 = std::min(c1, u0 + kTile);
+            for (size_t c = u0; c < u1; ++c)
+                for (size_t r = t0; r < t1; ++r)
+                    dst[c * rows + r] = src[r * cols + c];
+        }
+    }
+}
+
+void
+transposeScalar(const float *src, size_t rows, size_t cols, float *dst)
+{
+    transposeTileScalar(src, rows, cols, 0, rows, 0, cols, dst);
+}
+
+namespace {
+
 constexpr Ops kScalarOps = {
-    "scalar",          Level::Scalar,      gemmF32Scalar,     gemmInt8Scalar,
-    addIntoScalar,     scaleInPlaceScalar, signProjectScalar, allFiniteScalar,
-    reluScalar,        gatherSignaturesScalar,
+    "scalar",
+    Level::Scalar,
+    gemmF32Scalar,
+    gemmInt8Scalar,
+    addIntoScalar,
+    scaleInPlaceScalar,
+    signProjectScalar,
+    allFiniteScalar,
+    reluScalar,
+    gatherSignaturesScalar,
+    clusterSumsScalar,
+    maxPool2x2Scalar,
+    transposeScalar,
 };
 
 std::atomic<const Ops *> g_active{nullptr};

@@ -2,8 +2,9 @@
  * @file
  * Runtime SIMD kernel dispatch, after TFLite-Micro's replaceable-kernel
  * design: every hot inner loop (f32 GEMM, raw int8 GEMM, the LSH sign
- * pass and gathered-patch hashing, elementwise add/scale, eval ReLU, the
- * non-finite scan) is reached through a per-process ops
+ * pass and gathered-patch hashing, gathered cluster sums, elementwise
+ * add/scale, eval ReLU and 2x2 max-pool, the non-finite scan, the
+ * layout transpose) is reached through a per-process ops
  * table selected once at startup from CPU capabilities, overridable
  * with `GENREUSE_SIMD=scalar|avx2|neon`.
  *
@@ -85,6 +86,36 @@ struct Ops
                              size_t len, const float *v,
                              const float *biases, size_t h, size_t count,
                              uint64_t *sigs);
+
+    /**
+     * Unscaled cluster sums of gathered items, cluster by cluster:
+     * element j (< len) of row c (< nc) of @p sums is
+     * 0 + x[itemOff[m_1] + elemOff[j]] + x[itemOff[m_2] + elemOff[j]]
+     * + ... over cluster c's members m_k = members[memberOffsets[c] ..
+     * memberOffsets[c + 1]) in the order listed. That is the sequence
+     * of zeroing the rows and adding each item into its cluster's row
+     * in member order, so any member order within a cluster that
+     * matches the item order gives the item-major loop's sums.
+     */
+    void (*clusterSums)(const float *x, const uint32_t *itemOff,
+                        const uint32_t *elemOff, size_t len,
+                        const size_t *memberOffsets, const uint32_t *members,
+                        size_t nc, float *sums);
+
+    /**
+     * Eval max-pool, 2x2 window, stride 2, over @p planes consecutive
+     * (ih x iw) planes into (oh x ow) planes (2 * oh <= ih,
+     * 2 * ow <= iw): best = window (0,0), then best = v > best ? v :
+     * best for v = (0,0), (0,1), (1,0), (1,1), so the first maximum
+     * wins and a NaN at (0,0) sticks.
+     */
+    void (*maxPool2x2)(const float *src, size_t planes, size_t ih,
+                       size_t iw, size_t oh, size_t ow, float *dst);
+
+    /** dst = src^T for a row-major (rows x cols) @p src. A copy, so
+     *  every level is trivially bit-identical. */
+    void (*transpose)(const float *src, size_t rows, size_t cols,
+                      float *dst);
 };
 
 /** True when @p level is compiled in AND supported by this CPU. */

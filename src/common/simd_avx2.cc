@@ -39,13 +39,19 @@
 
 namespace genreuse::simd {
 
+// The scalar oracle's tiled transpose (simd.cc), for the edges the
+// 8 x 8 blocks leave.
+void transposeTileScalar(const float *src, size_t rows, size_t cols,
+                         size_t r0, size_t r1, size_t c0, size_t c1,
+                         float *dst);
+
 namespace {
 
 constexpr size_t kBlockM = 64;
 constexpr size_t kBlockN = 256;
 constexpr size_t kBlockK = 256;
 
-/** Lane mask selecting the first @p w (1..7) of eight floats. */
+/** Lane mask selecting the first @p w (0..8) of eight floats. */
 __m256i
 firstLanes(size_t w)
 {
@@ -476,10 +482,256 @@ gatherSignaturesAvx2(const float *x, const uint32_t *off, size_t len,
     }
 }
 
+/** Consecutive-address taps of a gathered item: elements
+ *  [dst, dst + w) of a row live at src, src + 1, ... src + w - 1. */
+struct TapRun
+{
+    uint32_t src;
+    uint32_t dst;
+    uint32_t w; //!< 1..8
+};
+
+/** Runs (and so ymm accumulators) one pass keeps in registers. */
+constexpr size_t kPassRuns = 8;
+
+/**
+ * One pass of clusterSumsAvx2 over R tap runs: per cluster, one ymm
+ * accumulator per run starts at +0 and adds one masked load per member
+ * in member order, then a masked store writes the run's w lanes. Each
+ * lane is one (cluster, element) sum with the oracle's add sequence;
+ * masked-off lanes read 0 and are never stored.
+ */
+template <size_t R>
+void
+clusterRunsAvx2(const float *x, const uint32_t *itemOff, const TapRun *runs,
+                size_t len, const size_t *memberOffsets,
+                const uint32_t *members, size_t nc, float *sums)
+{
+    __m256i mask[R];
+    uint32_t src[R];
+#pragma GCC unroll 8
+    for (size_t r = 0; r < R; ++r) {
+        mask[r] = firstLanes(runs[r].w);
+        src[r] = runs[r].src;
+    }
+    for (size_t c = 0; c < nc; ++c) {
+        __m256 acc[R];
+#pragma GCC unroll 8
+        for (size_t r = 0; r < R; ++r)
+            acc[r] = _mm256_setzero_ps();
+        for (size_t k = memberOffsets[c]; k < memberOffsets[c + 1]; ++k) {
+            const float *p = x + itemOff[members[k]];
+#pragma GCC unroll 8
+            for (size_t r = 0; r < R; ++r)
+                acc[r] = _mm256_add_ps(
+                    acc[r], _mm256_maskload_ps(p + src[r], mask[r]));
+        }
+        float *dst = sums + c * len;
+#pragma GCC unroll 8
+        for (size_t r = 0; r < R; ++r)
+            _mm256_maskstore_ps(dst + runs[r].dst, mask[r], acc[r]);
+    }
+}
+
+/**
+ * A pass whose R runs are all one tap long (C2 and KwMajor slices put
+ * consecutive elements a plane or an input row apart), so they are R
+ * consecutive elements from runs[0].dst: scalar accumulators, one per
+ * tap, with the oracle's per-element sequence.
+ */
+template <size_t R>
+void
+clusterTapsAvx2(const float *x, const uint32_t *itemOff, const TapRun *runs,
+                size_t len, const size_t *memberOffsets,
+                const uint32_t *members, size_t nc, float *sums)
+{
+    uint32_t src[R];
+#pragma GCC unroll 8
+    for (size_t r = 0; r < R; ++r)
+        src[r] = runs[r].src;
+    const size_t dst0 = runs[0].dst;
+    for (size_t c = 0; c < nc; ++c) {
+        float acc[R];
+#pragma GCC unroll 8
+        for (size_t r = 0; r < R; ++r)
+            acc[r] = 0.0f;
+        for (size_t k = memberOffsets[c]; k < memberOffsets[c + 1]; ++k) {
+            const float *p = x + itemOff[members[k]];
+#pragma GCC unroll 8
+            for (size_t r = 0; r < R; ++r)
+                acc[r] += p[src[r]];
+        }
+        float *dst = sums + c * len + dst0;
+#pragma GCC unroll 8
+        for (size_t r = 0; r < R; ++r)
+            dst[r] = acc[r];
+    }
+}
+
+using ClusterPassFn = void (*)(const float *, const uint32_t *,
+                               const TapRun *, size_t, const size_t *,
+                               const uint32_t *, size_t, float *);
+
+template <bool Taps, size_t... R>
+constexpr std::array<ClusterPassFn, sizeof...(R)>
+clusterPassTable(std::index_sequence<R...>)
+{
+    if constexpr (Taps)
+        return {&clusterTapsAvx2<R + 1>...};
+    else
+        return {&clusterRunsAvx2<R + 1>...};
+}
+
+constexpr auto kRunPasses =
+    clusterPassTable<false>(std::make_index_sequence<kPassRuns>{});
+constexpr auto kTapPasses =
+    clusterPassTable<true>(std::make_index_sequence<kPassRuns>{});
+
+/**
+ * Cluster-major sums with register accumulators: the element table is
+ * split into runs of consecutive addresses (at most eight taps each; a
+ * C1 5x5 slice is five runs of five), and each pass keeps up to
+ * kPassRuns of them in registers across a cluster's members. Passes
+ * split the elements, never the members, so every (cluster, element)
+ * sum still adds the members in order.
+ */
+void
+clusterSumsAvx2(const float *x, const uint32_t *itemOff,
+                const uint32_t *elemOff, size_t len,
+                const size_t *memberOffsets, const uint32_t *members,
+                size_t nc, float *sums)
+{
+    TapRun runs[kPassRuns];
+    for (size_t j = 0; j < len;) {
+        size_t r = 0;
+        bool taps = true;
+        for (; r < kPassRuns && j < len; ++r) {
+            size_t w = 1;
+            while (w < 8 && j + w < len && elemOff[j + w] == elemOff[j] + w)
+                ++w;
+            runs[r] = {elemOff[j], static_cast<uint32_t>(j),
+                       static_cast<uint32_t>(w)};
+            taps = taps && w == 1;
+            j += w;
+        }
+        (taps ? kTapPasses : kRunPasses)[r - 1](
+            x, itemOff, runs, len, memberOffsets, members, nc, sums);
+    }
+}
+
+/** The even- and odd-indexed floats of a[0..7], b[0..7], in order. */
+inline void
+deinterleave(__m256 a, __m256 b, __m256 &even, __m256 &odd)
+{
+    even = _mm256_castpd_ps(_mm256_permute4x64_pd(
+        _mm256_castps_pd(_mm256_shuffle_ps(a, b, 0x88)), 0xd8));
+    odd = _mm256_castpd_ps(_mm256_permute4x64_pd(
+        _mm256_castps_pd(_mm256_shuffle_ps(a, b, 0xdd)), 0xd8));
+}
+
+/**
+ * Eight windows per step. max(v, best) is v > best ? v : best (it
+ * returns its second operand when either is NaN or both are zero), so
+ * folding the taps in the oracle's scan order from best = (0,0) gives
+ * its bits; (0,0) against itself is a no-op and is skipped. The last
+ * ow % 8 windows take the oracle's scan.
+ */
+void
+maxPool2x2Avx2(const float *src, size_t planes, size_t ih, size_t iw,
+               size_t oh, size_t ow, float *dst)
+{
+    const size_t full = ow - ow % 8;
+    for (size_t pl = 0; pl < planes; ++pl) {
+        const float *plane = src + pl * ih * iw;
+        for (size_t yy = 0; yy < oh; ++yy, dst += ow) {
+            const float *r0 = plane + 2 * yy * iw;
+            const float *r1 = r0 + iw;
+            size_t xx = 0;
+            for (; xx < full; xx += 8) {
+                __m256 e0, o0, e1, o1;
+                deinterleave(_mm256_loadu_ps(r0 + 2 * xx),
+                             _mm256_loadu_ps(r0 + 2 * xx + 8), e0, o0);
+                deinterleave(_mm256_loadu_ps(r1 + 2 * xx),
+                             _mm256_loadu_ps(r1 + 2 * xx + 8), e1, o1);
+                __m256 best = _mm256_max_ps(o0, e0);
+                best = _mm256_max_ps(e1, best);
+                best = _mm256_max_ps(o1, best);
+                _mm256_storeu_ps(dst + xx, best);
+            }
+            for (; xx < ow; ++xx) {
+                const float *win = r0 + 2 * xx;
+                float best = win[0];
+                for (const float v : {win[1], win[iw], win[iw + 1]})
+                    best = v > best ? v : best;
+                dst[xx] = best;
+            }
+        }
+    }
+}
+
+/** dst (8 rows, stride ldd) = the 8 x 8 block at src (stride lds),
+ *  transposed in registers. */
+inline void
+transpose8x8Block(const float *src, size_t lds, float *dst, size_t ldd)
+{
+    __m256 r[8], t[8];
+#pragma GCC unroll 8
+    for (size_t i = 0; i < 8; ++i)
+        r[i] = _mm256_loadu_ps(src + i * lds);
+#pragma GCC unroll 4
+    for (size_t i = 0; i < 8; i += 2) {
+        t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+        t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
+    }
+    // Per 128-bit half, rows 4q..4q+3 of columns (0,1) / (2,3) pairs.
+#pragma GCC unroll 2
+    for (size_t q = 0; q < 8; q += 4) {
+        r[q] = _mm256_shuffle_ps(t[q], t[q + 2], 0x44);
+        r[q + 1] = _mm256_shuffle_ps(t[q], t[q + 2], 0xee);
+        r[q + 2] = _mm256_shuffle_ps(t[q + 1], t[q + 3], 0x44);
+        r[q + 3] = _mm256_shuffle_ps(t[q + 1], t[q + 3], 0xee);
+    }
+#pragma GCC unroll 4
+    for (size_t i = 0; i < 4; ++i) {
+        _mm256_storeu_ps(dst + i * ldd,
+                         _mm256_permute2f128_ps(r[i], r[i + 4], 0x20));
+        _mm256_storeu_ps(dst + (i + 4) * ldd,
+                         _mm256_permute2f128_ps(r[i], r[i + 4], 0x31));
+    }
+}
+
+/**
+ * 8 x 8 register blocks, walked column band by column band so each of
+ * the eight destination rows a band writes is filled contiguously (the
+ * oracle's reason for walking the destination). The rows and columns
+ * past the last multiple of eight take the oracle's tiled loop.
+ */
+void
+transposeAvx2(const float *src, size_t rows, size_t cols, float *dst)
+{
+    const size_t r8 = rows - rows % 8, c8 = cols - cols % 8;
+    for (size_t c0 = 0; c0 < c8; c0 += 8)
+        for (size_t r0 = 0; r0 < r8; r0 += 8)
+            transpose8x8Block(src + r0 * cols + c0, cols,
+                              dst + c0 * rows + r0, rows);
+    transposeTileScalar(src, rows, cols, 0, r8, c8, cols, dst);
+    transposeTileScalar(src, rows, cols, r8, rows, 0, cols, dst);
+}
+
 const Ops kAvx2Ops = {
-    "avx2",      Level::Avx2,      gemmF32Avx2,     gemmInt8Avx2,
-    addIntoAvx2, scaleInPlaceAvx2, signProjectAvx2, allFiniteAvx2,
-    reluAvx2,    gatherSignaturesAvx2,
+    "avx2",
+    Level::Avx2,
+    gemmF32Avx2,
+    gemmInt8Avx2,
+    addIntoAvx2,
+    scaleInPlaceAvx2,
+    signProjectAvx2,
+    allFiniteAvx2,
+    reluAvx2,
+    gatherSignaturesAvx2,
+    clusterSumsAvx2,
+    maxPool2x2Avx2,
+    transposeAvx2,
 };
 
 } // namespace

@@ -21,6 +21,15 @@
 
 namespace genreuse::simd {
 
+// Scalar oracles (simd.cc) this table has no NEON form of yet.
+void clusterSumsScalar(const float *x, const uint32_t *itemOff,
+                       const uint32_t *elemOff, size_t len,
+                       const size_t *memberOffsets, const uint32_t *members,
+                       size_t nc, float *sums);
+void maxPool2x2Scalar(const float *src, size_t planes, size_t ih, size_t iw,
+                      size_t oh, size_t ow, float *dst);
+void transposeScalar(const float *src, size_t rows, size_t cols, float *dst);
+
 namespace {
 
 constexpr size_t kBlockM = 64;
@@ -232,9 +241,19 @@ gatherSignaturesNeon(const float *x, const uint32_t *off, size_t len,
 }
 
 const Ops kNeonOps = {
-    "neon",      Level::Neon,      gemmF32Neon,     gemmInt8Neon,
-    addIntoNeon, scaleInPlaceNeon, signProjectNeon, allFiniteNeon,
-    reluNeon,    gatherSignaturesNeon,
+    "neon",
+    Level::Neon,
+    gemmF32Neon,
+    gemmInt8Neon,
+    addIntoNeon,
+    scaleInPlaceNeon,
+    signProjectNeon,
+    allFiniteNeon,
+    reluNeon,
+    gatherSignaturesNeon,
+    clusterSumsScalar,
+    maxPool2x2Scalar,
+    transposeScalar,
 };
 
 } // namespace

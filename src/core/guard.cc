@@ -246,7 +246,7 @@ GuardedReuseConvAlgo::GuardedReuseConvAlgo(ReusePattern pattern,
 GuardStreamState &
 GuardedReuseConvAlgo::state(StreamContext &ctx) const
 {
-    GuardStreamState &st = ctx.guardState(this);
+    GuardStreamState &st = ctx.guardState(stateOwner_);
     if (!st.errDrift) {
         // The thread-default stream keeps the historical signal names
         // (and therefore gauge keys); serve streams get a ".s<id>"

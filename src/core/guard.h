@@ -357,6 +357,7 @@ class GuardedReuseConvAlgo : public ConvAlgo
     std::unique_ptr<ReuseConvAlgo> inner_;
     ExactConvAlgo exact_;
     GuardConfig config_;
+    StateOwner stateOwner_; //!< keys this instance's per-stream state
 
     Tensor fitSample_;      //!< profiling subsample, default layout
     ConvGeometry fitGeom_{};

@@ -92,7 +92,7 @@ ReuseConvAlgo::fitFamilies(const Tensor &sample, const ConvGeometry &geom)
 ConvStreamScratch &
 ReuseConvAlgo::scratch(StreamContext &ctx) const
 {
-    return ctx.convScratch(this, fitEpoch_);
+    return ctx.convScratch(stateOwner_, fitEpoch_);
 }
 
 const ReuseStats &

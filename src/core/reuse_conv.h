@@ -204,6 +204,7 @@ class ReuseConvAlgo : public ConvAlgo
     bool fitted_ = false;
     size_t fittedDin_ = 0;
     uint64_t fitEpoch_ = 0;
+    StateOwner stateOwner_; //!< keys this instance's per-stream scratch
 };
 
 /**

@@ -1,5 +1,8 @@
 #include "stream_context.h"
 
+#include <algorithm>
+#include <atomic>
+
 #include "common/logging.h"
 
 namespace genreuse {
@@ -8,7 +11,39 @@ namespace {
 
 thread_local StreamContext *t_current = nullptr;
 
+std::atomic<uint64_t> g_nextSerial{1};
+
+/** @p states' entry for @p owner, created (after dropping the entries
+ *  of destroyed owners) when there is none yet. */
+template <typename State>
+State &
+stateFor(std::vector<std::unique_ptr<State>> &states, const StateOwner &owner)
+{
+    // Linear scan: a context serves a handful of algorithm instances
+    // (one per reuse-optimized layer).
+    for (auto &st : states) {
+        if (st->owner == owner.serial())
+            return *st;
+    }
+    states.erase(std::remove_if(states.begin(), states.end(),
+                                [](const std::unique_ptr<State> &st) {
+                                    return st->ownerAlive.expired();
+                                }),
+                 states.end());
+    states.push_back(std::make_unique<State>());
+    State &st = *states.back();
+    st.owner = owner.serial();
+    st.ownerAlive = owner.liveness();
+    return st;
+}
+
 } // namespace
+
+StateOwner::StateOwner()
+    : serial_(g_nextSerial.fetch_add(1, std::memory_order_relaxed)),
+      alive_(std::make_shared<char>())
+{
+}
 
 void
 ConvStreamScratch::onNewEpoch(uint64_t epoch)
@@ -57,36 +92,18 @@ StreamContext::clusterScratch(size_t slot)
 }
 
 ConvStreamScratch &
-StreamContext::convScratch(const void *owner, uint64_t fit_epoch)
+StreamContext::convScratch(const StateOwner &owner, uint64_t fit_epoch)
 {
-    // Linear scan: a context serves a handful of algorithm instances
-    // (one per reuse-optimized layer), and the scan is branch-predicted
-    // against pointers already in cache.
-    for (auto &sc : convScratch_) {
-        if (sc->owner == owner) {
-            if (sc->fitEpoch != fit_epoch)
-                sc->onNewEpoch(fit_epoch);
-            return *sc;
-        }
-    }
-    convScratch_.push_back(std::make_unique<ConvStreamScratch>());
-    ConvStreamScratch &sc = *convScratch_.back();
-    sc.owner = owner;
-    sc.fitEpoch = fit_epoch;
+    ConvStreamScratch &sc = stateFor(convScratch_, owner);
+    if (sc.fitEpoch != fit_epoch)
+        sc.onNewEpoch(fit_epoch);
     return sc;
 }
 
 GuardStreamState &
-StreamContext::guardState(const void *owner)
+StreamContext::guardState(const StateOwner &owner)
 {
-    for (auto &st : guardStates_) {
-        if (st->owner == owner)
-            return *st;
-    }
-    guardStates_.push_back(std::make_unique<GuardStreamState>());
-    GuardStreamState &st = *guardStates_.back();
-    st.owner = owner;
-    return st;
+    return stateFor(guardStates_, owner);
 }
 
 void

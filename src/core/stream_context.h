@@ -26,9 +26,9 @@
  *    moment two streams shared a pooled worker.
  *  - convScratch(owner, fitEpoch): ReuseConvAlgo's former member
  *    scratch (xr/wr/yTmp, cached row perm, band-remapped families,
- *    last-forward stats), keyed by algorithm instance and invalidated
- *    when the owner refits (the guard's re-cluster rung bumps the
- *    epoch).
+ *    last-forward stats), keyed by algorithm instance (its
+ *    StateOwner serial, never its address) and invalidated when the
+ *    owner refits (the guard's re-cluster rung bumps the epoch).
  *  - guardState(owner): GuardedReuseConvAlgo's former member state
  *    (drift detectors, cached error budget, last rung) so one guarded
  *    algorithm tracks each stream's distribution independently — a
@@ -66,6 +66,31 @@
 namespace genreuse {
 
 /**
+ * The identity an algorithm instance keys its per-stream state with: a
+ * process-unique serial drawn at construction and a liveness token. Keying on the instance's address instead
+ * let an algorithm allocated where a freed one had lived inherit that
+ * one's drift detectors and cached budget, so guard decisions depended
+ * on the allocator. A context drops the state of dead owners the next
+ * time it creates state, so freed algorithms' buffers do not pile up.
+ */
+class StateOwner
+{
+  public:
+    StateOwner();
+    StateOwner(const StateOwner &) = delete;
+    StateOwner &operator=(const StateOwner &) = delete;
+
+    uint64_t serial() const { return serial_; }
+
+    /** Expires when this owner is destroyed. */
+    std::weak_ptr<const void> liveness() const { return alive_; }
+
+  private:
+    uint64_t serial_;
+    std::shared_ptr<const void> alive_;
+};
+
+/**
  * One (ReuseConvAlgo, stream) pair's forward scratch: everything a
  * reuse-conv forward writes that is not part of the shared fit.
  * Reused across forwards so the steady state allocates nothing; reset
@@ -73,7 +98,8 @@ namespace genreuse {
  */
 struct ConvStreamScratch
 {
-    const void *owner = nullptr; //!< the ReuseConvAlgo this belongs to
+    uint64_t owner = 0; //!< serial of the ReuseConvAlgo this belongs to
+    std::weak_ptr<const void> ownerAlive;
     uint64_t fitEpoch = ~uint64_t{0};
 
     Tensor xr, wr, yTmp; //!< reordered input/weights, pre-unpermute out
@@ -103,7 +129,8 @@ struct ConvStreamScratch
  */
 struct GuardStreamState
 {
-    const void *owner = nullptr; //!< the GuardedReuseConvAlgo
+    uint64_t owner = 0; //!< serial of the GuardedReuseConvAlgo
+    std::weak_ptr<const void> ownerAlive;
 
     /** Inner fit epoch the budget was derived at (~0 = none yet). */
     uint64_t budgetEpoch = ~uint64_t{0};
@@ -153,11 +180,12 @@ class StreamContext
 
     /** This stream's scratch for @p owner, invalidated (caches reset,
      *  capacity kept) when @p fit_epoch differs from the last call. */
-    ConvStreamScratch &convScratch(const void *owner, uint64_t fit_epoch);
+    ConvStreamScratch &convScratch(const StateOwner &owner,
+                                   uint64_t fit_epoch);
 
     /** This stream's guard state for @p owner (created empty; the
      *  guard fills the detectors lazily). */
-    GuardStreamState &guardState(const void *owner);
+    GuardStreamState &guardState(const StateOwner &owner);
 
     /**
      * Quarantine reset: discard everything a (possibly panicking)

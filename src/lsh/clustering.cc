@@ -40,25 +40,46 @@ namespace {
 /** Signature tables of at most this many bits are direct-indexed. */
 constexpr size_t kDirectTableBits = 12;
 
-/** Add item @p i into @p dst (items.length floats). */
+/**
+ * The unscaled sum rows of every cluster (centroids' first nc rows),
+ * cluster by cluster from the CSR membership: each (cluster, element)
+ * sum is 0 plus the members in ascending item order, the sequence an
+ * item-major pass over the items would produce.
+ */
 void
-accumulateItem(const StridedItems &items, size_t i, float *dst)
+sumClusters(const GatheredItems &items, ClusterResult &result)
 {
-    if (items.contiguousRows()) {
-        simd::ops().addInto(dst, items.base + i * items.itemStride,
-                            items.length);
-    } else {
-        for (size_t j = 0; j < items.length; ++j)
-            dst[j] += items.at(i, j);
-    }
+    simd::ops().clusterSums(items.base, items.itemOffset, items.elemOffset,
+                            items.length, result.memberOffsets.data(),
+                            result.memberIndices.data(),
+                            result.numClusters(), result.centroids.data());
 }
 
+/** sumClusters() of a strided view, through its offset tables. */
 void
-accumulateItem(const GatheredItems &items, size_t i, float *dst)
+sumClusters(const StridedItems &items, ClusterResult &result)
 {
-    const float *src = items.base + items.itemOffset[i];
+    if (items.count == 0 || items.length == 0)
+        return;
+    GENREUSE_REQUIRE((items.count - 1) * items.itemStride +
+                             (items.length - 1) * items.elemStride <=
+                         UINT32_MAX,
+                     "item panel too large for 32-bit offsets");
+    Arena &arena = Arena::forCurrentStream();
+    ArenaFrame frame(arena);
+    GatheredItems gathered;
+    gathered.base = items.base;
+    gathered.count = items.count;
+    gathered.length = items.length;
+    uint32_t *item_off = arena.allocSpan<uint32_t>(items.count);
+    uint32_t *elem_off = arena.allocSpan<uint32_t>(items.length);
+    for (size_t i = 0; i < items.count; ++i)
+        item_off[i] = static_cast<uint32_t>(i * items.itemStride);
     for (size_t j = 0; j < items.length; ++j)
-        dst[j] += src[items.elemOffset[j]];
+        elem_off[j] = static_cast<uint32_t>(j * items.elemStride);
+    gathered.itemOffset = item_off;
+    gathered.elemOffset = elem_off;
+    sumClusters(gathered, result);
 }
 
 /**
@@ -85,22 +106,25 @@ groupBySignature(const Items &items, const uint64_t *sigs, size_t sig_bits,
     ArenaFrame frame(arena);
 
     result.assignments.resize(items.count);
-
+    result.sizes.clear();
     constexpr uint32_t kEmpty = UINT32_MAX;
-    uint32_t next_id = 0;
+    // A fresh id starts a size-1 cluster; a hit grows its cluster.
+    auto assign = [&](size_t i, uint32_t &id) {
+        if (id == kEmpty) {
+            id = static_cast<uint32_t>(result.sizes.size());
+            result.sizes.push_back(0);
+        }
+        result.sizes[id]++;
+        result.assignments[i] = id;
+    };
+
     if (sig_bits <= kDirectTableBits) {
         const size_t table_size = size_t{1} << sig_bits;
         uint32_t *ids = arena.allocSpan<uint32_t>(table_size);
         std::memset(ids, 0xff, table_size * sizeof(uint32_t));
         for (size_t i = 0; i < items.count; ++i) {
-            if (singleton && singleton[i]) {
-                result.assignments[i] = next_id++;
-                continue;
-            }
-            uint32_t &id = ids[sigs[i]];
-            if (id == kEmpty)
-                id = next_id++;
-            result.assignments[i] = id;
+            uint32_t fresh = kEmpty;
+            assign(i, singleton && singleton[i] ? fresh : ids[sigs[i]]);
         }
     } else {
         // Open-addressing table: pow-2 size at most half full.
@@ -112,8 +136,9 @@ groupBySignature(const Items &items, const uint64_t *sigs, size_t sig_bits,
         uint32_t *vals = arena.allocSpan<uint32_t>(table_size);
         std::memset(vals, 0xff, table_size * sizeof(uint32_t));
         for (size_t i = 0; i < items.count; ++i) {
+            uint32_t fresh = kEmpty;
             if (singleton && singleton[i]) {
-                result.assignments[i] = next_id++;
+                assign(i, fresh);
                 continue;
             }
             const uint64_t sig = sigs[i];
@@ -123,32 +148,11 @@ groupBySignature(const Items &items, const uint64_t *sigs, size_t sig_bits,
                           mask;
             while (vals[slot] != kEmpty && keys[slot] != sig)
                 slot = (slot + 1) & mask;
-            if (vals[slot] == kEmpty) {
-                keys[slot] = sig;
-                vals[slot] = next_id++;
-            }
-            result.assignments[i] = vals[slot];
+            keys[slot] = sig;
+            assign(i, vals[slot]);
         }
     }
-
-    const size_t nc = next_id;
-    const simd::Ops &simd_ops = simd::ops();
-    result.sizes.assign(nc, 0);
-    result.centroids.resize({nc == 0 ? 1 : nc, items.length});
-    result.centroids.zero();
-    for (size_t i = 0; i < items.count; ++i) {
-        uint32_t c = result.assignments[i];
-        result.sizes[c]++;
-        accumulateItem(items, i,
-                       result.centroids.data() + c * items.length);
-    }
-    for (size_t c = 0; c < nc; ++c) {
-        float inv = 1.0f / static_cast<float>(result.sizes[c]);
-        simd_ops.scaleInPlace(result.centroids.data() + c * items.length,
-                              inv, items.length);
-    }
-    if (nc == 0)
-        result.centroids.resize({0, items.length});
+    const size_t nc = result.sizes.size();
 
     // CSR membership: counting sort over items preserves ascending item
     // order within each cluster.
@@ -164,6 +168,18 @@ groupBySignature(const Items &items, const uint64_t *sigs, size_t sig_bits,
         uint32_t c = result.assignments[i];
         result.memberIndices[cursor[c]++] = static_cast<uint32_t>(i);
     }
+
+    // Centroids: the member sums, scaled by 1/size.
+    const simd::Ops &simd_ops = simd::ops();
+    result.centroids.resize({nc == 0 ? 1 : nc, items.length});
+    sumClusters(items, result);
+    for (size_t c = 0; c < nc; ++c) {
+        float inv = 1.0f / static_cast<float>(result.sizes[c]);
+        simd_ops.scaleInPlace(result.centroids.data() + c * items.length,
+                              inv, items.length);
+    }
+    if (nc == 0)
+        result.centroids.resize({0, items.length});
 
     if (ops) {
         // What the grouping actually did: one table probe/update per

@@ -1,6 +1,7 @@
 #include "pooling.h"
 
 #include "common/logging.h"
+#include "common/simd.h"
 
 namespace genreuse {
 
@@ -43,7 +44,12 @@ MaxPool2D::forward(const Tensor &x, bool training)
         // Only backward() reads the argmax, so inference skips it and
         // scans each window with a select (a max instruction) instead
         // of a branch. v > best ? v : best keeps the first maximum's
-        // value exactly as the training scan does, NaN included.
+        // value exactly as the training scan does, NaN included. The
+        // common 2x2 / stride-2 window is a dispatched kernel.
+        if (size_ == 2 && stride_ == 2) {
+            simd::ops().maxPool2x2(x.data(), planes, ih, iw, oh, ow, dst);
+            return y;
+        }
         for (size_t pl = 0; pl < planes; ++pl) {
             const float *src = x.data() + pl * ih * iw;
             for (size_t yy = 0; yy < oh; ++yy)

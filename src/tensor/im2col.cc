@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/simd.h"
 
 namespace genreuse {
 
@@ -23,32 +24,6 @@ checkGeometry(const ConvGeometry &geom)
 {
     GENREUSE_REQUIRE(geom.valid(), "invalid convolution geometry");
 }
-
-/**
- * dst = src^T for a row-major (rows x cols) @p src, in square tiles so
- * both sides stay cache-resident. The inner loop walks the destination
- * contiguously: with it innermost on the source, every store was a
- * `rows`-float stride, which aliases in the cache when rows is a power
- * of two (a 1024 x 64 conv output took about 8x longer).
- */
-void
-transposeInto(const float *src, size_t rows, size_t cols, float *dst)
-{
-    constexpr size_t kTile = 16;
-    for (size_t r0 = 0; r0 < rows; r0 += kTile) {
-        const size_t r1 = std::min(rows, r0 + kTile);
-        for (size_t c0 = 0; c0 < cols; c0 += kTile) {
-            const size_t c1 = std::min(cols, c0 + kTile);
-            for (size_t c = c0; c < c1; ++c)
-                for (size_t r = r0; r < r1; ++r)
-                    dst[c * rows + r] = src[r * cols + c];
-        }
-    }
-}
-
-} // namespace
-
-namespace {
 
 void
 checkInput(const Tensor &input, const ConvGeometry &geom)
@@ -245,7 +220,7 @@ kernelToMatrix(const Tensor &kernel)
     // Kernel storage is already [c][kh][kw]-major per filter, so the
     // weight matrix is the (M x Din) kernel transposed.
     Tensor w({din, m});
-    transposeInto(kernel.data(), m, din, w.data());
+    simd::ops().transpose(kernel.data(), m, din, w.data());
     return w;
 }
 
@@ -257,7 +232,7 @@ matrixToKernel(const Tensor &mat, const ConvGeometry &geom)
                      "weight matrix shape ", mat.shape().toString(),
                      " mismatches geometry");
     Tensor kernel({m, geom.inChannels, geom.kernelH, geom.kernelW});
-    transposeInto(mat.data(), din, m, kernel.data());
+    simd::ops().transpose(mat.data(), din, m, kernel.data());
     return kernel;
 }
 
@@ -273,8 +248,8 @@ gemmOutputToActivation(const Tensor &y, const ConvGeometry &geom)
     // (M x OH*OW) channel planes.
     Tensor act({geom.batch, m, geom.outHeight(), geom.outWidth()});
     for (size_t b = 0; b < geom.batch; ++b)
-        transposeInto(y.data() + b * pixels * m, pixels, m,
-                      act.data() + b * m * pixels);
+        simd::ops().transpose(y.data() + b * pixels * m, pixels, m,
+                              act.data() + b * m * pixels);
     return act;
 }
 
@@ -289,8 +264,8 @@ activationToGemmOutput(const Tensor &act, const ConvGeometry &geom)
                      " mismatches geometry");
     Tensor y({geom.rows(), m});
     for (size_t b = 0; b < geom.batch; ++b)
-        transposeInto(act.data() + b * m * pixels, m, pixels,
-                      y.data() + b * pixels * m);
+        simd::ops().transpose(act.data() + b * m * pixels, m, pixels,
+                              y.data() + b * pixels * m);
     return y;
 }
 

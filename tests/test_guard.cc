@@ -12,6 +12,7 @@
 #include <cstring>
 #include <gtest/gtest.h>
 #include <limits>
+#include <new>
 #include <numeric>
 
 #include "common/faultpoint.h"
@@ -359,6 +360,93 @@ TEST(Guard, DeployRungDowngradesInsteadOfAborting)
     EXPECT_EQ(guard::snapshot().deployDowngrades, 1u);
 }
 
+// ---- per-stream state keys ----------------------------------------------
+
+TEST(GuardState, NewGuardAtAFreedGuardsAddressStartsFresh)
+{
+    // Per-stream state is keyed by an instance serial, not an address:
+    // a guard built in the storage a freed one occupied must not
+    // inherit its drift detectors or its inner algorithm's stats.
+    GuardSandbox sandbox;
+    ConvFixture f;
+    Tensor sample = f.sampleX();
+    ConvGeometry geom = f.conv.lastGeometry();
+    Tensor w = f.conv.weightMatrix();
+    GuardConfig cfg;
+    cfg.marginFactor = 1e9;
+    StreamContext stream(1);
+    StreamContext::Bind bind(stream);
+
+    alignas(GuardedReuseConvAlgo) unsigned char
+        slot[sizeof(GuardedReuseConvAlgo)];
+    auto make = [&] {
+        auto *g = new (slot) GuardedReuseConvAlgo(
+            ReusePattern::conventional(geom, 8), cfg, HashMode::Learned, 1);
+        g->fit(sample, geom);
+        return g;
+    };
+    GuardedReuseConvAlgo *first = make();
+    for (int i = 0; i < 3; ++i)
+        first->multiply(sample, w, geom, nullptr);
+    ASSERT_EQ(first->errorDrift().observations(), 3u);
+    ASSERT_GT(first->inner().lastStats().totalVectors, 0u);
+    first->~GuardedReuseConvAlgo();
+
+    GuardedReuseConvAlgo *second = make(); // the same storage
+    EXPECT_EQ(second->errorDrift().observations(), 0u);
+    EXPECT_EQ(second->clusterDrift().observations(), 0u);
+    EXPECT_EQ(second->inner().lastStats().totalVectors, 0u);
+    second->multiply(sample, w, geom, nullptr);
+    EXPECT_EQ(second->errorDrift().observations(), 1u);
+    second->~GuardedReuseConvAlgo();
+}
+
+/** (rung, verification rows) after each forward of a fresh guard fed
+ *  in-distribution patches, then noise that trips its cluster-ratio
+ *  drift watcher. */
+std::vector<std::pair<GuardRung, size_t>>
+guardDecisions(const Tensor &sample, const Tensor &noise,
+               const ConvGeometry &geom, const Tensor &w)
+{
+    GuardConfig cfg;
+    cfg.marginFactor = 1e9;
+    cfg.clusterDrift.ph.warmup = 2;
+    cfg.clusterDrift.ph.delta = 0.0;
+    cfg.clusterDrift.ph.lambda = 0.05;
+    auto algo = std::make_shared<GuardedReuseConvAlgo>(
+        ReusePattern::conventional(geom, 8), cfg, HashMode::Learned, 1);
+    algo->fit(sample, geom);
+    std::vector<std::pair<GuardRung, size_t>> out;
+    for (int i = 0; i < 12; ++i) {
+        algo->multiply(i < 4 ? sample : noise, w, geom, nullptr);
+        out.emplace_back(algo->lastRung(), algo->verifyRows());
+    }
+    return out;
+}
+
+TEST(GuardState, RepeatedRunsMakeIdenticalDecisions)
+{
+    // Two runs of the same seed on one stream, each with a freshly
+    // allocated guard (which the allocator may well place where the
+    // last one lived): the second must not start from the first's
+    // tripped detectors.
+    GuardSandbox sandbox;
+    ConvFixture f;
+    Tensor sample = f.sampleX();
+    ConvGeometry geom = f.conv.lastGeometry();
+    Tensor w = f.conv.weightMatrix();
+    Rng rng(77);
+    const Tensor noise = Tensor::randomNormal(sample.shape(), rng);
+    StreamContext stream(1);
+    StreamContext::Bind bind(stream);
+
+    const auto first = guardDecisions(sample, noise, geom, w);
+    const auto second = guardDecisions(sample, noise, geom, w);
+    ASSERT_NE(first.front().second, first.back().second)
+        << "the scenario must trip the drift boost";
+    EXPECT_EQ(first, second);
+}
+
 // ---- fused eval pass ---------------------------------------------------
 
 /** What one guarded conv forward leaves behind. */
@@ -411,9 +499,8 @@ expectSameLadder(Conv2D &conv, const Tensor &sample, const Tensor &x,
                  const ReusePattern &p, const GuardConfig &cfg,
                  const std::string &what)
 {
-    // Per-stream guard state is keyed by the algorithm's address; a
-    // fresh stream keeps both guards from inheriting the state of a
-    // freed algorithm that lived at the same address.
+    // A fresh stream keeps this comparison independent of whatever
+    // state earlier tests left in the thread-default context.
     StreamContext stream(1);
     StreamContext::Bind bind(stream);
     auto fused_algo = fittedGuard(conv, sample, p, cfg);

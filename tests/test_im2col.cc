@@ -354,6 +354,25 @@ TEST(Im2col, ConvOneOutputFoldRoundTrip)
     EXPECT_TRUE(sameBytes(activationToGemmOutput(act, g), y));
 }
 
+TEST(Im2col, BlockedTransposeRoundTrips)
+{
+    // The layout folds run on 8 x 8 register blocks with a tiled loop
+    // for the edges: whole-block shapes (1024 x 64 conv1, 256 x 64
+    // conv2 outputs, two images) and shapes with ragged rows and
+    // columns (15 x 15 and 7 x 7 outputs, 13 and 20 channels).
+    Rng rng(15);
+    for (auto [side, m] : {std::pair<size_t, size_t>{32, 64}, {16, 64},
+                           {15, 13}, {7, 20}}) {
+        ConvGeometry g = makeGeom(2, 3, side, m, 3, 1, 1);
+        Tensor y = Tensor::randomNormal({g.rows(), g.outChannels}, rng);
+        Tensor act = gemmOutputToActivation(y, g);
+        ASSERT_TRUE(sameBytes(act, refGemmOutputToActivation(y, g)))
+            << side * side << " x " << m;
+        EXPECT_TRUE(sameBytes(activationToGemmOutput(act, g), y))
+            << side * side << " x " << m;
+    }
+}
+
 TEST(Im2col, RowGatherAndPatchOffsetsMatchTheMatrix)
 {
     Rng rng(14);

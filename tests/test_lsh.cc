@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "lsh/clustering.h"
 #include "lsh/learned_hash.h"
 #include "lsh/lsh.h"
+#include "tensor/im2col.h"
 #include "test_util.h"
 
 namespace genreuse {
@@ -273,6 +276,117 @@ TEST(Clustering, ReportsActualOpCounts)
     EXPECT_EQ(ops2.macs, 0u);
     EXPECT_EQ(ops2.tableOps, n);
     EXPECT_EQ(ops2.aluOps, ops.aluOps);
+}
+
+/** The column slice [col0, col0 + len) of @p all. */
+GatheredItems
+sliceOf(const GatheredItems &all, size_t col0, size_t len)
+{
+    GatheredItems items = all;
+    items.length = len;
+    items.elemOffset = all.elemOffset + col0;
+    return items;
+}
+
+bool
+sameBits(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(Clustering, GatheredMatchesMaterializedMatrix)
+{
+    // The fused conv pass clusters patches read in place; its cluster
+    // sums come from simd::Ops::clusterSums, the materialized matrix's
+    // from addInto. Both must give the same clustering to the bit,
+    // across column orders (runs of taps, or one tap per channel),
+    // direct and open-addressing signature tables, and non-finite
+    // patches routed to singletons by the repair path.
+    ConvGeometry g;
+    g.batch = 2;
+    g.inChannels = 6;
+    g.inHeight = 9;
+    g.inWidth = 11;
+    g.outChannels = 4;
+    g.kernelH = g.kernelW = 3;
+    g.stride = 1;
+    g.pad = 1;
+    const size_t n = g.rows(), din = g.cols();
+    const size_t pw = g.inWidth + 2, plane = (g.inHeight + 2) * pw;
+
+    Rng rng(31);
+    const Tensor planes = test::redundantRows(
+        g.batch * g.inChannels, g.inHeight * g.inWidth, 3, rng, 0.05f);
+    Tensor x(Shape({g.batch, g.inChannels, g.inHeight, g.inWidth}),
+             std::vector<float>(planes.data(),
+                                planes.data() + planes.size()));
+    const float kSpecial[] = {std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              -0.0f,
+                              std::numeric_limits<float>::denorm_min()};
+    for (size_t k = 0; k < std::size(kSpecial); ++k)
+        x.data()[37 + 131 * k] = kSpecial[k];
+    std::vector<float> padded(paddedInputSize(g));
+    padInputInto(x, g, padded.data());
+    std::vector<uint32_t> row_off(n);
+    patchRowOffsets(g, row_off.data());
+
+    auto tap = [&](size_t c, size_t kh, size_t kw) {
+        return static_cast<uint32_t>(c * plane + kh * pw + kw);
+    };
+    std::vector<std::vector<uint32_t>> orders(3);
+    for (size_t c = 0; c < g.inChannels; ++c) // C1: [c][kh][kw]
+        for (size_t kh = 0; kh < 3; ++kh)
+            for (size_t kw = 0; kw < 3; ++kw)
+                orders[0].push_back(tap(c, kh, kw));
+    for (size_t kh = 0; kh < 3; ++kh) // C2: [kh][kw][c]
+        for (size_t kw = 0; kw < 3; ++kw)
+            for (size_t c = 0; c < g.inChannels; ++c)
+                orders[1].push_back(tap(c, kh, kw));
+    for (size_t kw = 0; kw < 3; ++kw) // KwMajor: [kw][c][kh]
+        for (size_t c = 0; c < g.inChannels; ++c)
+            for (size_t kh = 0; kh < 3; ++kh)
+                orders[2].push_back(tap(c, kh, kw));
+
+    for (size_t o = 0; o < orders.size(); ++o) {
+        GatheredItems all;
+        all.base = padded.data();
+        all.count = n;
+        all.length = din;
+        all.itemOffset = row_off.data();
+        all.elemOffset = orders[o].data();
+        all.run = g.outWidth();
+        Tensor matrix({n, din});
+        for (size_t i = 0; i < n; ++i)
+            for (size_t j = 0; j < din; ++j)
+                matrix.data()[i * din + j] = all.at(i, j);
+
+        for (auto [col0, len] : {std::pair<size_t, size_t>{0, 9}, {9, 18},
+                                 {27, din - 27}, {0, din}})
+            for (size_t h : {size_t(1), size_t(4), size_t(20)}) {
+                HashFamily f = HashFamily::random(h, len, rng);
+                StridedItems rows = rowsOf(matrix);
+                rows.base += col0;
+                rows.length = len;
+                ClusterResult ref, got;
+                OpCounts ref_ops, got_ops;
+                clusterBySignatureInto(rows, f, ref, &ref_ops);
+                clusterBySignatureInto(sliceOf(all, col0, len), f, got,
+                                       &got_ops);
+                const std::string what = "order " + std::to_string(o) +
+                                         " col0 " + std::to_string(col0) +
+                                         " h " + std::to_string(h);
+                EXPECT_EQ(got.assignments, ref.assignments) << what;
+                EXPECT_EQ(got.sizes, ref.sizes) << what;
+                EXPECT_EQ(got.memberOffsets, ref.memberOffsets) << what;
+                EXPECT_EQ(got.memberIndices, ref.memberIndices) << what;
+                EXPECT_TRUE(sameBits(got.centroids, ref.centroids)) << what;
+                EXPECT_TRUE(got_ops == ref_ops) << what;
+                EXPECT_TRUE(clusterTableValid(got)) << what;
+            }
+    }
 }
 
 TEST(LearnedHash, BeatsRandomOnStructuredData)

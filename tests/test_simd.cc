@@ -2,8 +2,9 @@
  * @file
  * Parity matrix for the runtime SIMD dispatch layer (common/simd.h):
  * every entry of the ops table — gemmF32, gemmInt8, addInto,
- * scaleInPlace, signProject, allFinite, relu, gatherSignatures — is
- * compared against the scalar oracle
+ * scaleInPlace, signProject, allFinite, relu, gatherSignatures,
+ * clusterSums, maxPool2x2, transpose — is compared against the scalar
+ * oracle
  * over ragged shapes (sizes that are not multiples of any vector
  * width), plus the dispatch plumbing itself: level parsing, explicit
  * table selection, fallback for unavailable levels, and the
@@ -24,6 +25,7 @@
 #include <cstring>
 #include <gtest/gtest.h>
 #include <iterator>
+#include <string>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -97,6 +99,9 @@ TEST(SimdDispatch, TablesAreComplete)
         EXPECT_NE(t.allFinite, nullptr);
         EXPECT_NE(t.relu, nullptr);
         EXPECT_NE(t.gatherSignatures, nullptr);
+        EXPECT_NE(t.clusterSums, nullptr);
+        EXPECT_NE(t.maxPool2x2, nullptr);
+        EXPECT_NE(t.transpose, nullptr);
         if (!simd::available(lvl)) {
             // Unavailable levels fall back to the scalar oracle.
             EXPECT_EQ(t.level, simd::Level::Scalar);
@@ -477,6 +482,170 @@ TEST(SimdParity, GatherSignaturesMatchOracleAndGemmPath)
                 ASSERT_EQ(s1, s2)
                     << "len=" << len << " h=" << h << " count=" << count;
             }
+}
+
+/** The pre-dispatch item-major centroid sums: zeroed rows, then each
+ *  item added into its cluster's row in item order. */
+std::vector<float>
+itemMajorSums(const std::vector<float> &x, const std::vector<uint32_t> &item_off,
+              const std::vector<uint32_t> &elem_off,
+              const std::vector<uint32_t> &assign, size_t nc)
+{
+    const size_t len = elem_off.size();
+    std::vector<float> sums(nc * len, 0.0f);
+    for (size_t i = 0; i < assign.size(); ++i)
+        for (size_t j = 0; j < len; ++j)
+            sums[assign[i] * len + j] += x[item_off[i] + elem_off[j]];
+    return sums;
+}
+
+TEST(SimdParity, ClusterSumsMatchOracleAcrossOffsetTables)
+{
+    // The element tables of the fused reuse pass's slices over a
+    // zero-padded 16 x 16 input (20-float rows): C1 5x5 (five runs of
+    // five taps) and 3x3 (three of three), conv1's whole 75-wide row
+    // (fifteen runs, two register passes), KwMajor (one tap per input
+    // row), C2 (one tap per channel, a plane apart) and more. Inputs carry NaN, +/-Inf, -0
+    // and denormals; every sum must match the item-major loop bit for
+    // bit, except that any NaN matches any NaN (which of two NaN
+    // operands an add returns is not part of the contract).
+    const simd::Ops &scalar = simd::opsFor(simd::Level::Scalar);
+    const simd::Ops &vec = simd::opsFor(simd::detect());
+    const size_t side = 16, pw = 20, plane = pw * pw, n = side * side;
+    Rng rng(24);
+    const std::vector<float> x = specialFloats(20 * plane, rng);
+    std::vector<uint32_t> item_off(n);
+    for (size_t i = 0; i < n; ++i)
+        item_off[i] = static_cast<uint32_t>(i / side * pw + i % side);
+    auto tap = [&](size_t c, size_t kh, size_t kw) {
+        return static_cast<uint32_t>(c * plane + kh * pw + kw);
+    };
+    std::vector<std::pair<std::string, std::vector<uint32_t>>> tables;
+    std::vector<uint32_t> t;
+    auto add = [&](std::string name) {
+        tables.emplace_back(std::move(name), std::move(t));
+        t.clear();
+    };
+    for (size_t k : {size_t(3), size_t(5)}) {
+        for (size_t kh = 0; kh < k; ++kh)
+            for (size_t kw = 0; kw < k; ++kw)
+                t.push_back(tap(3, kh, kw));
+        add("C1 " + std::to_string(k) + "x" + std::to_string(k));
+    }
+    for (size_t c = 0; c < 3; ++c)
+        for (size_t kh = 0; kh < 5; ++kh)
+            for (size_t kw = 0; kw < 5; ++kw)
+                t.push_back(tap(c, kh, kw));
+    add("conv1 L=75");
+    for (size_t kw = 0; kw < 5; ++kw)
+        for (size_t c = 0; c < 2; ++c)
+            for (size_t kh = 0; kh < 5; ++kh)
+                t.push_back(tap(c, kh, kw));
+    add("KwMajor");
+    // Every pass size of both kinds: 1..17 one-tap runs (C2, a plane
+    // apart) and 1..17 runs of three taps, plus runs longer than a
+    // vector and a random table.
+    for (size_t r = 1; r <= 17; ++r) {
+        for (size_t c = 0; c < r; ++c)
+            t.push_back(tap(c, 1, 2));
+        add("C2 stride-only x" + std::to_string(r));
+        for (size_t c = 0; c < r; ++c)
+            for (size_t kw = 0; kw < 3; ++kw)
+                t.push_back(tap(c, 2, kw));
+        add("runs of 3 x" + std::to_string(r));
+    }
+    for (size_t kh = 0; kh < 3; ++kh)
+        for (size_t kw = 0; kw < 11; ++kw)
+            t.push_back(static_cast<uint32_t>(kh * 2 * pw + kw));
+    add("runs of 11");
+    for (size_t j = 0; j < 29; ++j)
+        t.push_back(static_cast<uint32_t>(rng.uniformInt(19 * plane)));
+    add("random");
+
+    for (const auto &[name, elem_off] : tables)
+        for (size_t nc : {size_t(1), size_t(16), n}) {
+            // Every cluster used; nc == n makes every cluster a
+            // singleton.
+            std::vector<uint32_t> assign(n);
+            for (size_t i = 0; i < n; ++i)
+                assign[i] = static_cast<uint32_t>(
+                    nc == n || i < nc ? i : rng.uniformInt(nc));
+            std::vector<size_t> offsets(nc + 1, 0);
+            for (uint32_t c : assign)
+                ++offsets[c + 1];
+            for (size_t c = 0; c < nc; ++c)
+                offsets[c + 1] += offsets[c];
+            std::vector<uint32_t> members(n);
+            std::vector<size_t> cursor(offsets.begin(), offsets.end() - 1);
+            for (size_t i = 0; i < n; ++i)
+                members[cursor[assign[i]]++] = static_cast<uint32_t>(i);
+
+            const size_t len = elem_off.size();
+            const std::vector<float> ref =
+                itemMajorSums(x, item_off, elem_off, assign, nc);
+            // Sentinels past the panel catch stores beyond row nc - 1.
+            for (const simd::Ops *ops : {&scalar, &vec}) {
+                std::vector<float> sums(nc * len + 9, 7.0f);
+                ops->clusterSums(x.data(), item_off.data(), elem_off.data(),
+                                 len, offsets.data(), members.data(), nc,
+                                 sums.data());
+                size_t bad = 0;
+                for (size_t e = 0; e < nc * len; ++e)
+                    bad += std::isnan(ref[e])
+                               ? !std::isnan(sums[e])
+                               : std::memcmp(&sums[e], &ref[e],
+                                             sizeof(float)) != 0;
+                EXPECT_EQ(bad, 0u)
+                    << ops->name << " " << name << " nc=" << nc;
+                for (size_t e = nc * len; e < sums.size(); ++e)
+                    ASSERT_EQ(sums[e], 7.0f) << ops->name << " " << name;
+            }
+        }
+}
+
+TEST(SimdParity, MaxPool2x2MatchesOracle)
+{
+    // Widths with and without an ow % 8 tail (SqueezeNet's last pool
+    // has ow = 4), odd input sides, and special values; a select has
+    // no rounding, so the bits must match exactly.
+    const simd::Ops &scalar = simd::opsFor(simd::Level::Scalar);
+    const simd::Ops &vec = simd::opsFor(simd::detect());
+    Rng rng(25);
+    for (auto [ih, iw] : {std::pair<size_t, size_t>{2, 2}, {9, 9}, {4, 17},
+                          {16, 16}, {32, 32}, {7, 35}, {10, 34}}) {
+        const size_t planes = 3, oh = ih / 2, ow = iw / 2;
+        const std::vector<float> x = specialFloats(planes * ih * iw, rng);
+        std::vector<float> y0(planes * oh * ow + 3, 7.0f), y1 = y0;
+        scalar.maxPool2x2(x.data(), planes, ih, iw, oh, ow, y0.data());
+        vec.maxPool2x2(x.data(), planes, ih, iw, oh, ow, y1.data());
+        EXPECT_TRUE(sameBits(y0, y1)) << ih << "x" << iw;
+        EXPECT_EQ(y0.back(), 7.0f);
+        EXPECT_EQ(y1.back(), 7.0f);
+    }
+}
+
+TEST(SimdParity, TransposeMatchesOracle)
+{
+    const simd::Ops &scalar = simd::opsFor(simd::Level::Scalar);
+    const simd::Ops &vec = simd::opsFor(simd::detect());
+    Rng rng(26);
+    std::vector<std::pair<size_t, size_t>> shapes = {{1024, 64}, {64, 1600}};
+    for (size_t r : kRaggedDims)
+        for (size_t c : {size_t(1), size_t(8), size_t(9), size_t(16),
+                         size_t(33)})
+            shapes.emplace_back(r, c);
+    for (auto [rows, cols] : shapes) {
+        const std::vector<float> src = randomFloats(rows * cols, rng);
+        std::vector<float> d0(rows * cols), d1(rows * cols);
+        scalar.transpose(src.data(), rows, cols, d0.data());
+        vec.transpose(src.data(), rows, cols, d1.data());
+        bool ok = true;
+        for (size_t i = 0; i < rows && ok; ++i)
+            for (size_t j = 0; j < cols && ok; ++j)
+                ok = d0[j * rows + i] == src[i * cols + j];
+        EXPECT_TRUE(ok) << rows << "x" << cols;
+        EXPECT_TRUE(sameBits(d0, d1)) << rows << "x" << cols;
+    }
 }
 
 TEST(SimdParity, EvalMaxPoolMatchesTrainingScanOnSpecialValues)
