@@ -11,7 +11,6 @@
 #include "common/profiler.h"
 #include "common/provenance.h"
 #include "core/accuracy_model.h"
-#include "core/canary.h"
 #include "core/latency_model.h"
 #include "core/pareto.h"
 #include "core/reuse_audit.h"
@@ -151,14 +150,13 @@ BenchJson::write()
     if (eventlog::recorded() > 0)
         w.key("events").raw(eventlog::summaryJson());
     // Reuse-efficacy audit (observed r_t vs the fit-time model, cluster
-    // histograms, guard budget burn — schema genreuse.audit/1) and the
-    // accuracy canary's per-layer error tracking ride along when armed
-    // (GENREUSE_AUDIT / GENREUSE_CANARY), so BENCH records from an
-    // audited run carry the efficacy evidence next to the latencies.
-    if (audit::enabled())
+    // histograms, guard budget burn and the accuracy canary's per-layer
+    // error series — schema genreuse.audit/1) rides along when either
+    // is armed (GENREUSE_AUDIT / GENREUSE_CANARY), so BENCH records
+    // from an audited run carry the efficacy evidence next to the
+    // latencies.
+    if (audit::enabled() || audit::canaryEnabled())
         w.key("audit").raw(audit::toJson());
-    if (canary::enabled())
-        w.key("canary").raw(canary::toJson());
     w.endObject();
     w.endObject();
 

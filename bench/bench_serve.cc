@@ -31,7 +31,6 @@
 #include "common/logging.h"
 #include "common/overload.h"
 #include "common/thread_pool.h"
-#include "core/canary.h"
 #include "core/measurement.h"
 #include "core/reuse_audit.h"
 #include "serve/loadgen.h"
@@ -354,9 +353,8 @@ main(int argc, char **argv)
     // mean zero breaches and zero alerts by construction.
     {
         audit::reset();
-        canary::reset();
         audit::setEnabled(true);
-        canary::setRate(1.0);
+        audit::setCanaryRate(1.0);
 
         ServeConfig ocfg;
         ocfg.workers = 2;
@@ -392,25 +390,24 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(fwd), rt_mean,
                     gap_max,
                     static_cast<unsigned long long>(
-                        canary::totalSamples()),
+                        audit::canarySamples()),
                     static_cast<unsigned long long>(
-                        canary::totalBreaches()),
+                        audit::canaryBreaches()),
                     static_cast<unsigned long long>(alerts));
         json.record("audit_forwards", static_cast<double>(fwd));
         json.record("audit_observed_rt_mean", rt_mean);
         json.record("audit_model_gap_max", gap_max);
         json.record("canary_samples",
-                    static_cast<double>(canary::totalSamples()));
+                    static_cast<double>(audit::canarySamples()));
         json.record("canary_breaches",
-                    static_cast<double>(canary::totalBreaches()));
+                    static_cast<double>(audit::canaryBreaches()));
         json.record("slo_alerts_fired", static_cast<double>(alerts));
-        breaches_total = canary::totalBreaches();
+        breaches_total = audit::canaryBreaches();
         GENREUSE_REQUIRE(breaches_total == 0,
                          "observed serving: unexpected canary breach "
                          "on in-distribution inputs");
 
-        canary::setRate(0.0);
-        canary::reset();
+        audit::setCanaryRate(0.0);
         audit::setEnabled(false);
         audit::reset();
     }

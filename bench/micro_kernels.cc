@@ -24,7 +24,6 @@
 #include "common/simd.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
-#include "core/canary.h"
 #include "core/fc_reuse.h"
 #include "core/guard.h"
 #include "core/reuse_audit.h"
@@ -597,7 +596,7 @@ BM_AuditGateDisabled(benchmark::State &state)
     stats.totalCentroids = 32;
     uint64_t acc = 0;
     for (auto _ : state) {
-        audit::recordForward(&acc, stats);
+        audit::recordForward(acc, stats);
         acc += 1;
         benchmark::DoNotOptimize(acc);
     }
@@ -607,11 +606,11 @@ BENCHMARK(BM_AuditGateDisabled);
 void
 BM_CanaryGateDisabled(benchmark::State &state)
 {
-    // canary::observe() with the canary disarmed (the default, rate
-    // 0): one relaxed atomic load of the rate bit-pattern.
+    // audit::recordCanary() with the canary disarmed (the default,
+    // rate 0): one relaxed atomic load of the rate bit-pattern.
     uint64_t acc = 0;
     for (auto _ : state) {
-        canary::observe(&acc, 0.1, 1.0, 8, false);
+        audit::recordCanary(acc, 0.1, 1.0, 8, false);
         acc += 1;
         benchmark::DoNotOptimize(acc);
     }

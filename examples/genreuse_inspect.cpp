@@ -18,9 +18,9 @@
  *                             strikes/quarantines, overload level)
  *   genreuse.audit/1          reuse-efficacy audit: per-layer observed
  *                             vs modeled redundancy, kernel/clustering
- *                             traffic, guard budget burn
- *   genreuse.canary/1         online accuracy canary: per-layer true
- *                             relative error vs the exact path
+ *                             traffic, guard budget burn, and the
+ *                             accuracy canary's relative error vs the
+ *                             exact path
  *   genreuse.slo/1            SLO burn-rate monitor state (rendered as
  *                             an alerts panel, also inside --follow)
  *   genreuse.bench/1          BENCH records (plus their embedded
@@ -495,10 +495,10 @@ renderHealth(const JsonValue &doc)
     std::printf("\n");
 }
 
-// ---- genreuse.audit/1 / genreuse.canary/1 / genreuse.slo/1 ---------------
+// ---- genreuse.audit/1 / genreuse.slo/1 -----------------------------------
 
-/** Audit/canary slots fitted through the raw algo API carry no layer
- *  name; show "-" instead of an empty cell. */
+/** Audit slots fitted through the raw algo API carry no layer name;
+ *  show "-" instead of an empty cell. */
 std::string
 layerCell(const JsonValue &row)
 {
@@ -510,19 +510,31 @@ void
 renderAudit(const JsonValue &doc)
 {
     const JsonValue *layers = doc.find("layers");
-    std::printf("  reuse audit: %zu layers, %.0f clusterings\n",
+    std::printf("  reuse audit: %zu layers, %.0f clusterings",
                 layers != nullptr && layers->isArray()
                     ? layers->items.size()
                     : 0,
                 num(&doc, "clusterings"));
+    if (num(&doc, "canary_rate") > 0.0 || num(&doc, "canary_samples") > 0.0)
+        std::printf(" | accuracy canary: rate %.3g, %.0f samples, %.0f "
+                    "breaches",
+                    num(&doc, "canary_rate"), num(&doc, "canary_samples"),
+                    num(&doc, "canary_breaches"));
+    std::printf("\n");
     if (layers != nullptr && layers->isArray() &&
         !layers->items.empty()) {
         TextTable t;
         t.setHeader({"layer", "strm", "fwd", "r_t last", "r_t ewma",
                      "modeled", "gap", "burn mean", "burn max",
-                     "reorder", "copy"});
+                     "reorder", "copy", "canary", "err ewma", "err ci95",
+                     "err worst"});
         for (const JsonValue &l : layers->items) {
             const JsonValue *modeled = l.find("modeled_rt");
+            const bool canaried = num(&l, "canary_samples") > 0.0;
+            const auto canaryCell = [&](const char *key) {
+                return canaried ? fmt("%.4g", num(&l, key))
+                                : std::string("-");
+            };
             t.addRow({layerCell(l),
                       num(&l, "stream") == 0.0
                           ? std::string("-")
@@ -539,7 +551,13 @@ renderAudit(const JsonValue &doc)
                       fmt("%.3f", num(&l, "burn_mean")),
                       fmt("%.3f", num(&l, "burn_max")),
                       fmt("%.0f", num(&l, "reorder_elems")),
-                      fmt("%.0f", num(&l, "copy_elems"))});
+                      fmt("%.0f", num(&l, "copy_elems")),
+                      canaried ? fmt("%.0f/", num(&l, "canary_samples")) +
+                                     fmt("%.0f", num(&l, "canary_breaches"))
+                               : std::string("-"),
+                      canaryCell("canary_error_ewma"),
+                      canaryCell("canary_error_ci95"),
+                      canaryCell("canary_error_worst")});
         }
         std::printf("%s", t.render().c_str());
     }
@@ -567,34 +585,6 @@ renderAudit(const JsonValue &doc)
                         num(cc, "p99"), num(cc, "max"),
                         num(doc.find("occupancy"), "p50"),
                         num(doc.find("occupancy"), "p99"));
-}
-
-void
-renderCanary(const JsonValue &doc)
-{
-    std::printf("  accuracy canary: rate %.3g, %.0f samples, %.0f "
-                "breaches\n",
-                num(&doc, "rate"), num(&doc, "samples"),
-                num(&doc, "breaches"));
-    const JsonValue *series = doc.find("series");
-    if (series == nullptr || !series->isArray() || series->items.empty())
-        return;
-    TextTable t;
-    t.setHeader({"layer", "strm", "samples", "breaches", "err last",
-                 "err ewma", "ci95", "worst"});
-    for (const JsonValue &s : series->items) {
-        t.addRow({layerCell(s),
-                  num(&s, "stream") == 0.0
-                      ? std::string("-")
-                      : "s" + fmt("%.0f", num(&s, "stream")),
-                  fmt("%.0f", num(&s, "samples")),
-                  fmt("%.0f", num(&s, "breaches")),
-                  fmt("%.4g", num(&s, "error_last")),
-                  fmt("%.4g", num(&s, "error_ewma")),
-                  fmt("%.4g", num(&s, "error_ci95")),
-                  fmt("%.4g", num(&s, "error_worst"))});
-    }
-    std::printf("%s", t.render().c_str());
 }
 
 void
@@ -807,8 +797,8 @@ renderTsdbSample(const JsonValue *prev, const JsonValue &cur)
                 prev_srcs != nullptr ? prev_srcs->find(name.c_str())
                                      : nullptr;
             // Sources that publish a known schema get their dedicated
-            // panel — this is how the SLO alerts panel and the audit/
-            // canary tables appear on the --follow dashboard.
+            // panel — this is how the SLO alerts panel and the audit
+            // table appear on the --follow dashboard.
             const std::string sschema = str(&src, "schema");
             if (sschema == "genreuse.slo/1") {
                 renderSlo(src);
@@ -816,10 +806,6 @@ renderTsdbSample(const JsonValue *prev, const JsonValue &cur)
             }
             if (sschema == "genreuse.audit/1") {
                 renderAudit(src);
-                continue;
-            }
-            if (sschema == "genreuse.canary/1") {
-                renderCanary(src);
                 continue;
             }
             if (src.find("health") != nullptr) {
@@ -1185,9 +1171,6 @@ main(int argc, char **argv)
             renderHealth(doc);
         } else if (schema == "genreuse.audit/1") {
             renderAudit(doc);
-            std::printf("\n");
-        } else if (schema == "genreuse.canary/1") {
-            renderCanary(doc);
             std::printf("\n");
         } else if (schema == "genreuse.slo/1") {
             renderSlo(doc);

@@ -50,7 +50,6 @@
 #include "common/metrics.h"
 #include "common/rtrace.h"
 #include "common/telemetry.h"
-#include "core/canary.h"
 #include "core/guard.h"
 #include "core/reuse_audit.h"
 #include "data/synthetic.h"
@@ -85,7 +84,7 @@ class GuardedConvStream : public InferenceStream
         // Raw-API fit skips applyGuardedReusePattern's name stamping;
         // label the audit/canary slot so dashboards show "conv", not a
         // blank cell.
-        audit::setName(&guard_->inner(), conv_.name());
+        audit::setName(guard_->inner().serial(), conv_.name());
         conv_.setAlgo(guard_);
     }
 
@@ -172,7 +171,7 @@ main(int argc, char **argv)
     // sources are live when the exporter writes its start line.
     const double canary_rate = args.getDouble("canary", 0.0);
     if (canary_rate > 0.0)
-        canary::setRate(canary_rate);
+        audit::setCanaryRate(canary_rate);
     if (args.has("audit"))
         audit::setEnabled(true);
 
@@ -243,9 +242,9 @@ main(int argc, char **argv)
     if (canary_rate > 0.0)
         std::printf("canary: %llu samples, %llu budget breaches\n",
                     static_cast<unsigned long long>(
-                        canary::totalSamples()),
+                        audit::canarySamples()),
                     static_cast<unsigned long long>(
-                        canary::totalBreaches()));
+                        audit::canaryBreaches()));
 
     // Snapshot health BEFORE shutdown: afterwards the engine reports
     // "draining", which is true but not what an operator probing a

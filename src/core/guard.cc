@@ -17,7 +17,6 @@
 #include "common/rng.h"
 #include "common/rtrace.h"
 #include "common/simd.h"
-#include "canary.h"
 #include "reuse_audit.h"
 #include "tensor/gemm.h"
 
@@ -441,22 +440,10 @@ GuardedReuseConvAlgo::Input::sampledRows(size_t step, size_t count,
     return rows;
 }
 
-double
+GuardedReuseConvAlgo::Measurement
 GuardedReuseConvAlgo::measureError(const Input &x, const Tensor &w,
-                                   const Tensor &y,
+                                   const Tensor &y, size_t rows,
                                    CostLedger *ledger) const
-{
-    // Row count comes from verifyRows(): the configured sampleRows,
-    // boosted while a drift detector is tripped — a suspect stream is
-    // verified with more evidence per forward.
-    return measureErrorRows(x, w, y, verifyRows(), ledger, nullptr);
-}
-
-double
-GuardedReuseConvAlgo::measureErrorRows(const Input &x, const Tensor &w,
-                                       const Tensor &y, size_t rows,
-                                       CostLedger *ledger,
-                                       double *exact_norm_sq_out) const
 {
     profiler::ProfSpan span("guard.verify");
     // Attribute verification time to the serve request executing on
@@ -465,10 +452,8 @@ GuardedReuseConvAlgo::measureErrorRows(const Input &x, const Tensor &w,
     const size_t n = x.rows();
     const size_t din = x.cols();
     const size_t m = w.shape().cols();
-    if (exact_norm_sq_out)
-        *exact_norm_sq_out = 0.0;
     if (n == 0 || rows == 0)
-        return 0.0;
+        return {};
 
     rows = std::min(rows, n);
     const size_t stride = n / rows;
@@ -507,39 +492,59 @@ GuardedReuseConvAlgo::measureErrorRows(const Input &x, const Tensor &w,
 
     const double scale =
         static_cast<double>(n) / static_cast<double>(rows);
-    if (exact_norm_sq_out)
-        *exact_norm_sq_out = norm * scale;
-    return err * scale;
+    return {err * scale, norm * scale, rows};
 }
+
+namespace {
+
+/** Deterministic per-stream canary decision: accumulate the rate in
+ *  @p credit (GuardStreamState::canaryCredit) and fire when it crosses
+ *  1, so a rate of 1.0 samples every forward and tests replay
+ *  exactly. */
+bool
+shouldSampleCanary(double &credit)
+{
+    credit += audit::canaryRate();
+    if (credit < 1.0)
+        return false;
+    credit -= 1.0;
+    return true;
+}
+
+} // namespace
 
 void
 GuardedReuseConvAlgo::maybeCanary(GuardStreamState &st, const Input &x,
                                   const Tensor &w,
                                   const ConvGeometry &geom,
-                                  const Tensor &y, CostLedger *ledger)
+                                  const Tensor &y, CostLedger *ledger,
+                                  const Measurement *verified)
 {
-    if (!canary::enabled())
+    if (!audit::canaryEnabled())
         return;
-    if (!canary::detail::shouldSample(st.canaryCredit))
+    if (!shouldSampleCanary(st.canaryCredit))
         return;
     // The canary deliberately ignores overload shedding and drift
     // boosts: a fixed, small row count (the configured sampleRows)
     // every time it fires, so its series is comparable across load
-    // levels.
-    const size_t rows = std::max<size_t>(1, config_.sampleRows);
-    double norm_sq = 0.0;
-    const double err = measureErrorRows(x, w, y, rows, ledger, &norm_sq);
+    // levels. When the guard just verified @p y on that many rows, it
+    // measured exactly these rows with the same GEMM: reuse it.
+    const size_t rows =
+        std::min(std::max<size_t>(1, config_.sampleRows), x.rows());
+    const Measurement m = verified != nullptr && verified->rows == rows
+                              ? *verified
+                              : measureError(x, w, y, rows, ledger);
     // Relative units: both the measurement and the budget are divided
     // by the sampled exact output energy, so the series is invariant
     // to activation scale (the thing an absolute budget is not).
-    const double denom = std::max(norm_sq, 1e-30);
+    const double err = m.error;
+    const double denom = std::max(m.exactNormSq, 1e-30);
     const double rel_error = err / denom;
     const double budget = errorBudget(st, w, geom, x.rows());
     const double rel_budget = budget / denom;
     const bool breach = err > budget;
-    canary::observe(inner_.get(), rel_error, rel_budget,
-                    static_cast<uint64_t>(std::min(rows, x.rows())),
-                    breach);
+    audit::recordCanary(inner_->serial(), rel_error, rel_budget, rows,
+                        breach);
     // The canary measurement is ground truth of the same signal the
     // guard's own verification feeds the drift watcher — keep feeding
     // it when verification is shed, so drift detection survives
@@ -645,7 +650,7 @@ GuardedReuseConvAlgo::runLadder(GuardStreamState &st, Input &in,
         Status s = reuse(y);
         if (!s.ok())
             panic(s.toString());
-        maybeCanary(st, in, w, geom, y, ledger);
+        maybeCanary(st, in, w, geom, y, ledger, nullptr);
         return;
     }
 
@@ -685,21 +690,26 @@ GuardedReuseConvAlgo::runLadder(GuardStreamState &st, Input &in,
         guard::recordForward(GuardRung::FullReuse, 0.0, 0.0);
         // The canary still samples up here — it is the only accuracy
         // signal left when verification is shed.
-        maybeCanary(st, in, w, geom, y, ledger);
+        maybeCanary(st, in, w, geom, y, ledger, nullptr);
         return;
     }
 
+    // Row count comes from verifyRows(): the configured sampleRows,
+    // boosted while a drift detector is tripped (a suspect stream is
+    // verified with more evidence per forward), halved under overload
+    // level 1.
     const double budget = errorBudget(st, w, geom, in.rows());
-    double measured = measureError(in, w, y, ledger);
+    const Measurement first = measureError(in, w, y, verifyRows(), ledger);
+    double measured = first.error;
     // Drift watches the *first* attempt's measurement: it reflects the
     // stream against the original fit, before any re-cluster muddies
     // the signal. The boost it may raise applies from the next forward.
     observeDrift(st, measured, budget);
-    audit::recordBudget(inner_.get(), measured, budget);
+    audit::recordBudget(inner_->serial(), measured, budget);
     if (measured <= budget) {
         st.lastRung = static_cast<int>(GuardRung::FullReuse);
         guard::recordForward(GuardRung::FullReuse, measured, budget);
-        maybeCanary(st, in, w, geom, y, ledger);
+        maybeCanary(st, in, w, geom, y, ledger, &first);
         return;
     }
 
@@ -720,16 +730,18 @@ GuardedReuseConvAlgo::runLadder(GuardStreamState &st, Input &in,
         if (!s2.ok())
             break;
         const double budget2 = errorBudget(st, w, geom, in.rows());
-        const double m2 = measureError(in, w, y2, ledger);
-        audit::recordBudget(inner_.get(), m2, budget2);
-        if (m2 <= budget2) {
+        const Measurement retry =
+            measureError(in, w, y2, verifyRows(), ledger);
+        audit::recordBudget(inner_->serial(), retry.error, budget2);
+        if (retry.error <= budget2) {
             st.lastRung = static_cast<int>(GuardRung::Recluster);
-            guard::recordForward(GuardRung::Recluster, m2, budget2);
+            guard::recordForward(GuardRung::Recluster, retry.error,
+                                 budget2);
             y = std::move(y2);
-            maybeCanary(st, in, w, geom, y, ledger);
+            maybeCanary(st, in, w, geom, y, ledger, &retry);
             return;
         }
-        measured = m2;
+        measured = retry.error;
     }
 
     warnOnce("guard-exact-fallback",
@@ -757,10 +769,10 @@ applyGuardedReusePattern(Conv2D &layer, const ReusePattern &pattern,
     auto algo = std::make_shared<GuardedReuseConvAlgo>(pattern, config,
                                                        mode, seed);
     algo->fit(sample_default_x, geom);
-    // The canary's per-layer series borrows the audit's name table, so
-    // the name is stamped whenever either consumer is armed.
-    if (audit::enabled() || canary::enabled())
-        audit::setName(&algo->inner(), layer.name());
+    // The canary's series lives in the same audit slot, so the name is
+    // stamped whenever either is armed.
+    if (audit::enabled() || audit::canaryEnabled())
+        audit::setName(algo->inner().serial(), layer.name());
     if (audit::enabled()) {
         // Audit entries for a guarded layer are keyed by the inner
         // algo (the kernels record through it); the fit-time modeled
@@ -770,7 +782,7 @@ applyGuardedReusePattern(Conv2D &layer, const ReusePattern &pattern,
         audit::Suppress suppress;
         algo->inner().multiply(sample_default_x, layer.weightMatrix(),
                                geom, nullptr);
-        audit::setModeled(&algo->inner(),
+        audit::setModeled(algo->inner().serial(),
                           algo->inner().lastStats().redundancyRatio());
     }
     layer.setAlgo(algo);

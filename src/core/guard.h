@@ -276,7 +276,7 @@ class GuardedReuseConvAlgo : public ConvAlgo
     /** True while either of the calling stream's detectors is tripped. */
     bool drifted() const;
 
-    /** Rows the calling stream's next measureError() will verify —
+    /** Rows the calling stream's next verification will recompute —
      *  sampleRows, boosted by driftSampleBoost (capped at
      *  maxSampleRows) while drifted. */
     size_t verifyRows() const;
@@ -323,34 +323,42 @@ class GuardedReuseConvAlgo : public ConvAlgo
     GuardStreamState &state(StreamContext &ctx) const;
     double errorBudget(GuardStreamState &st, const Tensor &w,
                        const ConvGeometry &geom, size_t runtime_rows);
-    double measureError(const Input &x, const Tensor &w,
-                        const Tensor &y, CostLedger *ledger) const;
+
+    /** One exact-row measurement of a reuse output. */
+    struct Measurement
+    {
+        double error = 0.0;       //!< est. total squared Frobenius error
+        double exactNormSq = 0.0; //!< equally scaled exact output energy
+        size_t rows = 0;          //!< rows recomputed (≤ the request)
+    };
 
     /**
-     * measureError() generalized: recompute @p rows evenly strided
-     * rows exactly and return the estimated total squared Frobenius
-     * error (scaled to the full batch). When @p exact_norm_sq_out is
-     * non-null it receives the equally scaled squared norm of the
-     * exact rows, so the caller can form a *relative* error — the
-     * accuracy canary's unit, stable across activation scales.
+     * Recompute @p rows evenly strided rows of @p y exactly and scale
+     * the squared error and the exact output energy to the full batch.
+     * Their ratio is a *relative* error — the accuracy canary's unit,
+     * stable across activation scales. The rows are charged to the
+     * ledger as the GEMM they are.
      */
-    double measureErrorRows(const Input &x, const Tensor &w,
-                            const Tensor &y, size_t rows,
-                            CostLedger *ledger,
-                            double *exact_norm_sq_out) const;
+    Measurement measureError(const Input &x, const Tensor &w,
+                             const Tensor &y, size_t rows,
+                             CostLedger *ledger) const;
 
     /**
-     * Accuracy-canary hook, called on every forward that returns a
+     * Accuracy-canary policy, applied to every forward that returns a
      * *reuse* output (including unverified overload-level-2 forwards —
      * the canary is exempt from shedding by design: it is the only
-     * accuracy signal left up there). Samples per canary::rate() via
-     * the stream's deterministic credit, shadow-measures the relative
-     * error on the exact path, feeds the stream's error drift
-     * detector, and journals CanarySample/CanaryBreach.
+     * accuracy signal left up there). Samples per audit::canaryRate()
+     * via the stream's deterministic credit and judges the relative
+     * error of sampleRows exact rows: @p verified, when the guard just
+     * measured exactly those rows of @p y, else a fresh measurement.
+     * Feeds the stream's error drift detector while verification is
+     * shed, and records into the audit slot (which journals
+     * CanarySample/CanaryBreach).
      */
     void maybeCanary(GuardStreamState &st, const Input &x,
                      const Tensor &w, const ConvGeometry &geom,
-                     const Tensor &y, CostLedger *ledger);
+                     const Tensor &y, CostLedger *ledger,
+                     const Measurement *verified);
     void observeDrift(GuardStreamState &st, double measured,
                       double budget);
 

@@ -1,12 +1,17 @@
 #include "reuse_audit.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <mutex>
 #include <utility>
 
+#include "common/eventlog.h"
 #include "common/json.h"
+#include "common/logging.h"
 #include "common/metrics.h"
+#include "common/overload.h"
 #include "common/streamtag.h"
 #include "common/telemetry.h"
 
@@ -16,10 +21,12 @@ namespace audit {
 namespace detail {
 
 std::atomic<bool> g_enabled{false};
+std::atomic<uint64_t> g_canary_rate_bits{0};
 
 namespace {
 
-/** EWMA smoothing for the windowed observed-redundancy view. */
+/** EWMA smoothing for the windowed observed-redundancy and canary
+ *  error views. */
 constexpr double kEwmaAlpha = 0.2;
 
 /** Cluster histograms: counts and occupancies live in the thousands
@@ -30,12 +37,12 @@ constexpr uint32_t kHistMaxBits = 20;
 
 thread_local int t_suppress = 0;
 
-/** One registry slot; the owner pointer is the fitted algo, so the
+/** One registry slot; the owner is the fitted algo's serial, so the
  *  guard (recording through inner()) and the algo itself land in the
  *  same slot. */
 struct Entry
 {
-    const void *owner = nullptr;
+    uint64_t owner = 0;
     LayerAudit data;
 };
 
@@ -46,9 +53,8 @@ struct Registry
     // Names/models arrive at fit time, usually before the first
     // recorded forward; kept keyed by owner so late-created stream
     // slots inherit them.
-    std::vector<std::pair<const void *, std::string>> names;
-    std::vector<std::pair<const void *, double>> modeled;
-    uint64_t telemetryToken = 0;
+    std::vector<std::pair<uint64_t, std::string>> names;
+    std::vector<std::pair<uint64_t, double>> modeled;
 };
 
 Registry &
@@ -67,6 +73,8 @@ struct KernelSlot
 
 KernelSlot g_kernels[3];
 std::atomic<uint64_t> g_clusterings{0};
+std::atomic<uint64_t> g_canary_samples{0};
+std::atomic<uint64_t> g_canary_breaches{0};
 
 HdrHistogram &
 clusterCountHist()
@@ -84,7 +92,7 @@ occupancyHist()
 
 /** Find or create the (owner, stream) slot. Caller holds r.mu. */
 LayerAudit &
-slotLocked(Registry &r, const void *owner, uint16_t stream)
+slotLocked(Registry &r, uint64_t owner, uint16_t stream)
 {
     for (Entry &e : r.entries) {
         if (e.owner == owner && e.data.stream == stream)
@@ -107,8 +115,30 @@ slotLocked(Registry &r, const void *owner, uint16_t stream)
     return e.data;
 }
 
-/** Arms the audit before main() when GENREUSE_AUDIT is a truthy
- *  value ("0" and "" stay off, anything else arms). */
+/** Keeps the "audit" telemetry source registered exactly while the
+ *  audit or the canary is armed. Serialized by its own mutex, never
+ *  the registry's: the exporter holds its lock while a sample renders,
+ *  and rendering takes the registry's. */
+void
+syncTelemetry()
+{
+    static std::mutex mu;
+    static uint64_t token = 0;
+    std::lock_guard<std::mutex> lock(mu);
+    const bool armed = g_enabled.load(std::memory_order_relaxed) ||
+                       g_canary_rate_bits.load(std::memory_order_relaxed);
+    if (armed && token == 0) {
+        token = telemetry::registerSource("audit", telemetryJson);
+    } else if (!armed && token != 0) {
+        telemetry::unregisterSource(token);
+        token = 0;
+    }
+}
+
+/** Arms before main(): the audit when GENREUSE_AUDIT is a truthy value
+ *  ("0" and "" stay off, anything else arms), the canary when
+ *  GENREUSE_CANARY parses to a positive rate. A malformed rate is a
+ *  user error: warn loudly. */
 struct EnvInit
 {
     EnvInit()
@@ -117,6 +147,17 @@ struct EnvInit
         if (v != nullptr && *v != '\0' &&
             !(v[0] == '0' && v[1] == '\0'))
             setEnabled(true);
+        const char *c = std::getenv("GENREUSE_CANARY");
+        if (c == nullptr || *c == '\0')
+            return;
+        char *end = nullptr;
+        const double r = std::strtod(c, &end);
+        if (end == nullptr || *end != '\0' || !(r >= 0.0)) {
+            warn("GENREUSE_CANARY='", c,
+                 "' is not a rate in [0, 1]; canary stays disarmed");
+            return;
+        }
+        setCanaryRate(r);
     }
 };
 
@@ -131,7 +172,7 @@ suppressed()
 }
 
 void
-recordForwardSlow(const void *owner, const ReuseStats &stats)
+recordForwardSlow(uint64_t owner, const ReuseStats &stats)
 {
     if (suppressed() || stats.totalVectors == 0)
         return;
@@ -185,7 +226,7 @@ recordClusteringSlow(size_t items, size_t clusters, const size_t *sizes)
 }
 
 void
-recordTrafficSlow(const void *owner, uint64_t reorder_elems,
+recordTrafficSlow(uint64_t owner, uint64_t reorder_elems,
                   uint64_t copy_elems)
 {
     if (suppressed())
@@ -198,7 +239,7 @@ recordTrafficSlow(const void *owner, uint64_t reorder_elems,
 }
 
 void
-recordBudgetSlow(const void *owner, double measured, double budget)
+recordBudgetSlow(uint64_t owner, double measured, double budget)
 {
     if (suppressed() || budget <= 0.0)
         return;
@@ -215,30 +256,98 @@ recordBudgetSlow(const void *owner, double measured, double budget)
     g_burn.set(burn);
 }
 
+void
+recordCanarySlow(uint64_t owner, double rel_error, double rel_budget,
+                 uint64_t rows, bool breach)
+{
+    // Not subject to Suppress: the canary only runs inside a guarded
+    // forward, never in a fit-time profiling pass.
+    double ewma = rel_error;
+    {
+        Registry &reg = registry();
+        std::lock_guard<std::mutex> lock(reg.mu);
+        LayerAudit &a = slotLocked(reg, owner, streamtag::current());
+        a.canaryLast = rel_error;
+        a.canaryEwma = a.canarySamples == 0
+                           ? rel_error
+                           : a.canaryEwma +
+                                 kEwmaAlpha * (rel_error - a.canaryEwma);
+        ewma = a.canaryEwma;
+        ++a.canarySamples;
+        const double d = rel_error - a.canaryMean;
+        a.canaryMean += d / static_cast<double>(a.canarySamples);
+        a.canaryM2 += d * (rel_error - a.canaryMean);
+        a.canaryWorst = std::max(a.canaryWorst, rel_error);
+        if (breach)
+            ++a.canaryBreaches;
+    }
+    g_canary_samples.fetch_add(1, std::memory_order_relaxed);
+    static metrics::Counter &c_samples = metrics::counter("canary.samples");
+    static metrics::Gauge &g_err = metrics::gauge("canary.error");
+    c_samples.add();
+    g_err.set(rel_error);
+    if (eventlog::enabled() || breach) {
+        eventlog::record(eventlog::Type::CanarySample,
+                         eventlog::currentTag(), rel_error, rel_budget,
+                         ewma, static_cast<uint32_t>(rows),
+                         static_cast<uint8_t>(overload::level()));
+    }
+    if (breach) {
+        g_canary_breaches.fetch_add(1, std::memory_order_relaxed);
+        static metrics::Counter &c_breaches =
+            metrics::counter("canary.breaches");
+        c_breaches.add();
+        eventlog::record(eventlog::Type::CanaryBreach,
+                         eventlog::currentTag(), rel_error, rel_budget,
+                         ewma, static_cast<uint32_t>(rows),
+                         static_cast<uint8_t>(overload::level()));
+    }
+}
+
 } // namespace detail
+
+double
+LayerAudit::canaryCi95() const
+{
+    if (canarySamples < 2)
+        return 0.0;
+    const double n = static_cast<double>(canarySamples);
+    return 1.96 * std::sqrt(canaryM2 / (n - 1.0) / n);
+}
 
 void
 setEnabled(bool on)
 {
-    detail::Registry &reg = detail::registry();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    if (on && reg.telemetryToken == 0) {
-        reg.telemetryToken =
-            telemetry::registerSource("audit", telemetryJson);
-    } else if (!on && reg.telemetryToken != 0) {
-        // Flip the gate before blocking in unregisterSource so an
-        // in-flight sample is the last one to see the audit armed.
-        detail::g_enabled.store(false, std::memory_order_relaxed);
-        const uint64_t token = reg.telemetryToken;
-        reg.telemetryToken = 0;
-        telemetry::unregisterSource(token);
-        return;
-    }
     detail::g_enabled.store(on, std::memory_order_relaxed);
+    detail::syncTelemetry();
+}
+
+double
+canaryRate()
+{
+    const uint64_t bits =
+        detail::g_canary_rate_bits.load(std::memory_order_relaxed);
+    double r;
+    static_assert(sizeof(r) == sizeof(bits), "double is 64-bit");
+    std::memcpy(&r, &bits, sizeof(r));
+    return r;
 }
 
 void
-setModeled(const void *owner, double modeled_rt)
+setCanaryRate(double r)
+{
+    if (!(r >= 0.0))
+        r = 0.0;
+    r = std::min(r, 1.0);
+    uint64_t bits = 0;
+    if (r > 0.0)
+        std::memcpy(&bits, &r, sizeof(bits));
+    detail::g_canary_rate_bits.store(bits, std::memory_order_relaxed);
+    detail::syncTelemetry();
+}
+
+void
+setModeled(uint64_t owner, double modeled_rt)
 {
     detail::Registry &reg = detail::registry();
     std::lock_guard<std::mutex> lock(reg.mu);
@@ -260,7 +369,7 @@ setModeled(const void *owner, double modeled_rt)
 }
 
 void
-setName(const void *owner, const std::string &name)
+setName(uint64_t owner, const std::string &name)
 {
     detail::Registry &reg = detail::registry();
     std::lock_guard<std::mutex> lock(reg.mu);
@@ -277,18 +386,6 @@ setName(const void *owner, const std::string &name)
         if (e.owner == owner)
             e.data.name = name;
     }
-}
-
-std::string
-nameOf(const void *owner)
-{
-    detail::Registry &reg = detail::registry();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    for (const auto &n : reg.names) {
-        if (n.first == owner)
-            return n.second;
-    }
-    return "";
 }
 
 Suppress::Suppress() { ++detail::t_suppress; }
@@ -320,6 +417,18 @@ snapshot()
     return s;
 }
 
+uint64_t
+canarySamples()
+{
+    return detail::g_canary_samples.load(std::memory_order_relaxed);
+}
+
+uint64_t
+canaryBreaches()
+{
+    return detail::g_canary_breaches.load(std::memory_order_relaxed);
+}
+
 void
 reset()
 {
@@ -338,6 +447,8 @@ reset()
                                              std::memory_order_relaxed);
     }
     detail::g_clusterings.store(0, std::memory_order_relaxed);
+    detail::g_canary_samples.store(0, std::memory_order_relaxed);
+    detail::g_canary_breaches.store(0, std::memory_order_relaxed);
     detail::clusterCountHist().reset();
     detail::occupancyHist().reset();
 }
@@ -378,6 +489,15 @@ writeLayer(JsonWriter &w, const LayerAudit &a)
     w.key("burn_samples").value(a.burnSamples);
     w.key("burn_mean").value(a.meanBurn());
     w.key("burn_max").value(a.burnMax);
+    if (a.canarySamples > 0) {
+        w.key("canary_samples").value(a.canarySamples);
+        w.key("canary_breaches").value(a.canaryBreaches);
+        w.key("canary_error_last").value(a.canaryLast);
+        w.key("canary_error_ewma").value(a.canaryEwma);
+        w.key("canary_error_mean").value(a.canaryMean);
+        w.key("canary_error_ci95").value(a.canaryCi95());
+        w.key("canary_error_worst").value(a.canaryWorst);
+    }
     w.endObject();
 }
 
@@ -402,6 +522,9 @@ render(bool compact)
     w.beginObject();
     w.key("schema").value("genreuse.audit/1");
     w.key("enabled").value(enabled());
+    w.key("canary_rate").value(canaryRate());
+    w.key("canary_samples").value(canarySamples());
+    w.key("canary_breaches").value(canaryBreaches());
     w.key("layers").beginArray();
     for (const LayerAudit &a : s.layers)
         writeLayer(w, a);

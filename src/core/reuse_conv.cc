@@ -282,7 +282,7 @@ ReuseConvAlgo::reuseCoreInto(ConvStreamScratch &sc, const Tensor &xr,
         OpCounts rc;
         rc.elemMoves = y.size();
         reportOps(ledger, Stage::Recovering, rc);
-        audit::recordTraffic(this, 0, rc.elemMoves);
+        audit::recordTraffic(serial(), 0, rc.elemMoves);
     }
     finishForward(sc);
 }
@@ -293,7 +293,7 @@ ReuseConvAlgo::chargeReorder(size_t elems, CostLedger *ledger) const
     OpCounts tf;
     tf.elemMoves = elems;
     reportOps(ledger, Stage::Transformation, tf);
-    audit::recordTraffic(this, tf.elemMoves, 0);
+    audit::recordTraffic(serial(), tf.elemMoves, 0);
 }
 
 void
@@ -308,7 +308,7 @@ ReuseConvAlgo::finishForward(const ConvStreamScratch &sc) const
                          static_cast<double>(sc.lastStats.totalVectors),
                          0.0,
                          static_cast<uint32_t>(sc.lastStats.totalCentroids));
-    audit::recordForward(this, sc.lastStats);
+    audit::recordForward(serial(), sc.lastStats);
 }
 
 bool
@@ -460,11 +460,11 @@ applyReusePattern(Conv2D &layer, const ReusePattern &pattern,
         // r_t from one suppressed profiling forward on the fit sample
         // (suppressed: the profiling run is not observed runtime
         // behavior, it IS the model).
-        audit::setName(algo.get(), layer.name());
+        audit::setName(algo->serial(), layer.name());
         audit::Suppress suppress;
         algo->multiply(sample_default_x, layer.weightMatrix(), geom,
                        nullptr);
-        audit::setModeled(algo.get(),
+        audit::setModeled(algo->serial(),
                           algo->lastStats().redundancyRatio());
     }
     layer.setAlgo(algo);

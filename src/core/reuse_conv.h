@@ -167,6 +167,9 @@ class ReuseConvAlgo : public ConvAlgo
      *  every stream's context. */
     uint64_t fitEpoch() const { return fitEpoch_; }
 
+    /** This instance's serial: the key of its audit slot. */
+    uint64_t serial() const { return stateOwner_.serial(); }
+
   private:
     void fitFamilies(const Tensor &sample, const ConvGeometry &geom);
     ConvStreamScratch &scratch(StreamContext &ctx) const;

@@ -57,7 +57,7 @@ ReuseDense::fitReuse(const Tensor &sample, size_t segment_len,
     segmentLen_ = segment_len;
     reuseEnabled_ = true;
     if (audit::enabled())
-        audit::setName(this, name());
+        audit::setName(stateOwner_.serial(), name());
 }
 
 Tensor
@@ -121,7 +121,7 @@ ReuseDense::forward(const Tensor &x, bool training)
                          static_cast<double>(lastStats_.totalVectors),
                          0.0,
                          static_cast<uint32_t>(lastStats_.totalCentroids));
-    audit::recordForward(this, lastStats_);
+    audit::recordForward(stateOwner_.serial(), lastStats_);
     return y;
 }
 

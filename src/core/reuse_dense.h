@@ -70,6 +70,7 @@ class ReuseDense : public Layer
     Tensor flat_; //!< flatten / fault-injection scratch, reused
     ReuseStats lastStats_;
     GuardRung lastRung_ = GuardRung::FullReuse;
+    StateOwner stateOwner_; //!< keys this layer's audit slot
 };
 
 } // namespace genreuse

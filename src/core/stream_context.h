@@ -138,9 +138,9 @@ struct GuardStreamState
 
     int lastRung = 0; //!< GuardRung of this stream's last forward
 
-    /** Accuracy-canary sampling credit (canary::detail::shouldSample):
-     *  deterministic per-stream accumulator, so a rate of 1.0 samples
-     *  every forward and tests replay exactly. */
+    /** Accuracy-canary sampling credit (the guard's
+     *  shouldSampleCanary): deterministic per-stream accumulator, so a
+     *  rate of 1.0 samples every forward and tests replay exactly. */
     double canaryCredit = 0.0;
 
     std::unique_ptr<DriftDetector> errDrift;

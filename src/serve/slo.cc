@@ -9,7 +9,7 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/telemetry.h"
-#include "core/canary.h"
+#include "core/reuse_audit.h"
 
 namespace genreuse {
 namespace serve {
@@ -113,8 +113,8 @@ SloMonitor::tick()
     f.completed = s.completed;
     f.shed = s.shed;
     f.failed = s.failed;
-    f.canarySamples = canary::totalSamples();
-    f.canaryBreaches = canary::totalBreaches();
+    f.canarySamples = audit::canarySamples();
+    f.canaryBreaches = audit::canaryBreaches();
 
     bool any = false;
     {

@@ -17,7 +17,7 @@
  *   - ShedRate       — deadline-shed requests / completions;
  *   - FailRate       — failed requests / completions;
  *   - CanaryBreachRate — accuracy-canary breaches / canary samples
- *                      (core/canary.h), the accuracy floor.
+ *                      (core/reuse_audit.h), the accuracy floor.
  *
  * Each tick() captures one frame — a latency-histogram snapshot plus
  * counter values — into a ring; burn rates are computed from frame

@@ -24,7 +24,6 @@
 #include "common/rng.h"
 #include "common/rtrace.h"
 #include "common/telemetry.h"
-#include "core/canary.h"
 #include "core/guard.h"
 #include "core/fc_reuse.h"
 #include "core/reuse_audit.h"
@@ -550,7 +549,7 @@ TEST(ZeroAlloc, SteadyStateGuardedForwardWithAuditAndCanaryArmed)
     algo.fit(x, geom);
 
     audit::setEnabled(true);
-    canary::setRate(1.0);
+    audit::setCanaryRate(1.0);
 
     Tensor y;
     // Warm-up: grows the audit/canary registry slots and resolves the
@@ -558,7 +557,7 @@ TEST(ZeroAlloc, SteadyStateGuardedForwardWithAuditAndCanaryArmed)
     for (int i = 0; i < 4; ++i)
         algo.multiplyInto(x, w, geom, nullptr, y);
     ASSERT_EQ(algo.lastRung(), GuardRung::FullReuse);
-    ASSERT_EQ(canary::totalSamples(), 4u);
+    ASSERT_EQ(audit::canarySamples(), 4u);
 
     const uint64_t before = heapAllocCount();
     algo.multiplyInto(x, w, geom, nullptr, y);
@@ -566,11 +565,10 @@ TEST(ZeroAlloc, SteadyStateGuardedForwardWithAuditAndCanaryArmed)
     EXPECT_EQ(allocs, 0u)
         << "steady-state forward with audit+canary armed hit the heap "
         << allocs << " time(s)";
-    EXPECT_EQ(canary::totalSamples(), 5u);
-    EXPECT_EQ(canary::totalBreaches(), 0u);
+    EXPECT_EQ(audit::canarySamples(), 5u);
+    EXPECT_EQ(audit::canaryBreaches(), 0u);
 
-    canary::setRate(0.0);
-    canary::reset();
+    audit::setCanaryRate(0.0);
     audit::setEnabled(false);
     audit::reset();
 }

@@ -17,9 +17,9 @@
 
 #include "common/faultpoint.h"
 #include "common/metrics.h"
-#include "core/canary.h"
 #include "core/guard.h"
 #include "core/measurement.h"
+#include "core/reuse_audit.h"
 #include "core/reuse_conv.h"
 #include "core/reuse_dense.h"
 #include "data/synthetic.h"
@@ -621,15 +621,15 @@ TEST(GuardFused, ReclusterExactNonFiniteAndDisabledRungsMatch)
 
     // The canary gathers its rows from the NCHW input on the fused
     // path; what it measures must not depend on the path.
-    canary::setRate(1.0);
-    canary::reset();
+    audit::setCanaryRate(1.0);
+    audit::reset();
     expectSameLadder(f.conv, sample, x, p, loose, "canary");
-    const std::vector<canary::CanaryStats> series = canary::snapshot();
-    canary::setRate(0.0);
-    canary::reset();
+    const std::vector<audit::LayerAudit> series = audit::snapshot().layers;
+    audit::setCanaryRate(0.0);
+    audit::reset();
     ASSERT_EQ(series.size(), 2u);
-    EXPECT_EQ(series[0].samples, 1u);
-    EXPECT_EQ(series[0].lastError, series[1].lastError);
+    EXPECT_EQ(series[0].canarySamples, 1u);
+    EXPECT_EQ(series[0].canaryLast, series[1].canaryLast);
 }
 
 TEST(GuardFused, ArmedFaultPointKeepsTheIm2colPath)

@@ -1,24 +1,26 @@
 /**
  * @file
- * Tests for the reuse-efficacy audit (core/reuse_audit.h) and the
- * online accuracy canary (core/canary.h): disarmed hooks record
- * nothing, the fit-time modeled r_t reconciles with the observed
- * redundancy ratio (exactly on the fit sample, within a loose bound on
- * fresh batches from the same distribution), profiling forwards are
- * suppressed, kernel/clustering histograms accumulate, guard budget
- * burn is recorded, canary sampling is a deterministic credit
- * accumulator, breaches fire when overload level 2 sheds guard
- * verification, and the JSON exports carry their schema tags.
+ * Tests for the reuse-efficacy audit and its accuracy canary
+ * (core/reuse_audit.h): disarmed hooks record nothing, the fit-time
+ * modeled r_t reconciles with the observed redundancy ratio (exactly
+ * on the fit sample, within a loose bound on fresh batches from the
+ * same distribution), profiling forwards are suppressed,
+ * kernel/clustering histograms accumulate, guard budget burn is
+ * recorded, slots are keyed by instance serial (not address), canary
+ * sampling is a deterministic credit accumulator that reuses the
+ * guard's own verification rows when it can, breaches fire when
+ * overload level 2 sheds guard verification, and the JSON export
+ * carries its schema tag.
  */
 
 #include <cstring>
 #include <gtest/gtest.h>
+#include <new>
 #include <string>
 
 #include "common/faultpoint.h"
 #include "common/metrics.h"
 #include "common/overload.h"
-#include "core/canary.h"
 #include "core/guard.h"
 #include "core/reuse_audit.h"
 #include "core/reuse_conv.h"
@@ -45,9 +47,8 @@ struct AuditSandbox
         guard::reset();
         metrics::reset();
         audit::setEnabled(false);
+        audit::setCanaryRate(0.0);
         audit::reset();
-        canary::setRate(0.0);
-        canary::reset();
     }
 };
 
@@ -252,6 +253,54 @@ TEST(Audit, JsonExportsCarrySchemaAndLayerName)
               std::string::npos);
 }
 
+TEST(Audit, NewGuardAtAFreedGuardsAddressStartsFresh)
+{
+    // Slots, names and modeled r_t are keyed by the algorithm's serial,
+    // not its address: a guard built in the storage a freed one
+    // occupied must not inherit its name, model or canary series.
+    AuditSandbox sandbox;
+    ConvFixture f;
+    Tensor sample = f.sampleX();
+    ConvGeometry geom = f.conv.lastGeometry();
+    Tensor w = f.conv.weightMatrix();
+    audit::setEnabled(true);
+    audit::setCanaryRate(1.0);
+    GuardConfig cfg;
+    cfg.marginFactor = 1e9;
+
+    alignas(GuardedReuseConvAlgo) unsigned char
+        slot[sizeof(GuardedReuseConvAlgo)];
+    auto make = [&] {
+        auto *g = new (slot) GuardedReuseConvAlgo(
+            ReusePattern::conventional(geom, 8), cfg, HashMode::Learned, 1);
+        g->fit(sample, geom);
+        return g;
+    };
+    GuardedReuseConvAlgo *first = make();
+    audit::setName(first->inner().serial(), "first");
+    audit::setModeled(first->inner().serial(), 0.5);
+    for (int i = 0; i < 3; ++i)
+        first->multiply(sample, w, geom, nullptr);
+    first->~GuardedReuseConvAlgo();
+
+    GuardedReuseConvAlgo *second = make(); // the same storage
+    second->multiply(sample, w, geom, nullptr);
+    second->~GuardedReuseConvAlgo();
+
+    audit::Snapshot snap = audit::snapshot();
+    ASSERT_EQ(snap.layers.size(), 2u);
+    const audit::LayerAudit &a = snap.layers[0];
+    EXPECT_EQ(a.name, "first");
+    EXPECT_EQ(a.forwards, 3u);
+    EXPECT_EQ(a.canarySamples, 3u);
+    const audit::LayerAudit &b = snap.layers[1];
+    EXPECT_EQ(b.name, "");
+    EXPECT_FALSE(b.hasModeled);
+    EXPECT_EQ(b.forwards, 1u);
+    EXPECT_EQ(b.canarySamples, 1u);
+    EXPECT_EQ(audit::canarySamples(), 4u);
+}
+
 TEST(Canary, RateOneSamplesEveryAcceptedForward)
 {
     AuditSandbox sandbox;
@@ -260,7 +309,7 @@ TEST(Canary, RateOneSamplesEveryAcceptedForward)
     ConvGeometry geom = f.conv.lastGeometry();
     Tensor w = f.conv.weightMatrix();
 
-    canary::setRate(1.0);
+    audit::setCanaryRate(1.0);
     GuardConfig cfg;
     cfg.marginFactor = 1e9;
     GuardedReuseConvAlgo algo(ReusePattern::conventional(geom, 8), cfg,
@@ -269,15 +318,112 @@ TEST(Canary, RateOneSamplesEveryAcceptedForward)
     for (int i = 0; i < 3; ++i)
         algo.multiply(sample, w, geom, nullptr);
 
-    EXPECT_EQ(canary::totalSamples(), 3u);
-    EXPECT_EQ(canary::totalBreaches(), 0u);
-    std::vector<canary::CanaryStats> series = canary::snapshot();
+    EXPECT_EQ(audit::canarySamples(), 3u);
+    EXPECT_EQ(audit::canaryBreaches(), 0u);
+    // The canary records with the efficacy hooks disarmed: its series
+    // is the slot's only content.
+    std::vector<audit::LayerAudit> series = audit::snapshot().layers;
     ASSERT_EQ(series.size(), 1u);
-    EXPECT_EQ(series[0].samples, 3u);
-    EXPECT_EQ(series[0].breaches, 0u);
-    EXPECT_GE(series[0].lastError, 0.0);
-    EXPECT_GE(series[0].worstError, series[0].lastError);
+    EXPECT_EQ(series[0].forwards, 0u);
+    EXPECT_EQ(series[0].canarySamples, 3u);
+    EXPECT_EQ(series[0].canaryBreaches, 0u);
+    EXPECT_GE(series[0].canaryLast, 0.0);
+    EXPECT_GE(series[0].canaryWorst, series[0].canaryLast);
     EXPECT_EQ(metrics::counter("canary.samples").get(), 3u);
+}
+
+/** Stage::Gemm MACs of one guarded forward of @p x. */
+uint64_t
+gemmMacs(GuardedReuseConvAlgo &algo, const Tensor &x, const Tensor &w,
+         const ConvGeometry &geom)
+{
+    CostLedger ledger;
+    algo.multiply(x, w, geom, &ledger);
+    return ledger.stage(Stage::Gemm).macs;
+}
+
+TEST(Canary, ReusesTheGuardsVerificationRows)
+{
+    AuditSandbox sandbox;
+    ConvFixture f;
+    Tensor sample = f.sampleX();
+    ConvGeometry geom = f.conv.lastGeometry();
+    Tensor w = f.conv.weightMatrix();
+    Rng rng(77);
+    Tensor mixed = sample;
+    const Tensor noise = Tensor::randomNormal(sample.shape(), rng);
+    for (size_t i = 0; i < mixed.size(); i += 7)
+        mixed.data()[i] += 0.3f * noise.data()[i];
+    // A coarse pattern and a tight margin: in-distribution forwards are
+    // accepted on rung 0, off-distribution ones fail the first
+    // verification and walk the ladder. Drift is off so every
+    // verification runs on the canary's sampleRows.
+    GuardConfig cfg;
+    cfg.marginFactor = 0.3;
+    cfg.maxReclusters = 3;
+    cfg.drift.enabled = false;
+    GuardedReuseConvAlgo plain(ReusePattern::conventional(geom, 2), cfg,
+                               HashMode::Learned, 1);
+    GuardedReuseConvAlgo canaried(ReusePattern::conventional(geom, 2), cfg,
+                                  HashMode::Learned, 1);
+    plain.fit(sample, geom);
+    canaried.fit(sample, geom);
+
+    // The accepted output (rung 0, or the winning re-cluster attempt)
+    // was verified on the canary's rows: sampling it costs no GEMM.
+    size_t full = 0, wins = 0;
+    for (int i = 0; i < 10; ++i) {
+        const Tensor &x = i < 3 ? sample : (i % 2 ? noise : mixed);
+        audit::setCanaryRate(0.0);
+        const uint64_t base = gemmMacs(plain, x, w, geom);
+        audit::setCanaryRate(1.0);
+        const uint64_t with_canary = gemmMacs(canaried, x, w, geom);
+        ASSERT_EQ(canaried.lastRung(), plain.lastRung()) << i;
+        EXPECT_EQ(with_canary, base) << i;
+        full += canaried.lastRung() == GuardRung::FullReuse;
+        wins += canaried.lastRung() == GuardRung::Recluster;
+    }
+    EXPECT_GT(full, 0u);
+    EXPECT_GT(wins, 0u) << "the scenario must win a re-cluster";
+    EXPECT_EQ(audit::canarySamples(), full + wins);
+}
+
+TEST(Canary, MeasuresItsOwnRowsWhenDriftBoostsVerification)
+{
+    AuditSandbox sandbox;
+    ConvFixture f;
+    Tensor sample = f.sampleX();
+    ConvGeometry geom = f.conv.lastGeometry();
+    Tensor w = f.conv.weightMatrix();
+    Rng rng(77);
+    const Tensor noise = Tensor::randomNormal(sample.shape(), rng);
+    GuardConfig cfg;
+    cfg.marginFactor = 1e9;
+    cfg.clusterDrift.ph.warmup = 2;
+    cfg.clusterDrift.ph.delta = 0.0;
+    cfg.clusterDrift.ph.lambda = 0.05;
+    GuardedReuseConvAlgo plain(ReusePattern::conventional(geom, 8), cfg,
+                               HashMode::Learned, 1);
+    GuardedReuseConvAlgo canaried(ReusePattern::conventional(geom, 8), cfg,
+                                  HashMode::Learned, 1);
+    // The same in-distribution-then-noise history trips both guards'
+    // cluster-ratio watchers, boosting their verification rows.
+    for (GuardedReuseConvAlgo *g : {&plain, &canaried}) {
+        g->fit(sample, geom);
+        for (int i = 0; i < 12; ++i)
+            g->multiply(i < 4 ? sample : noise, w, geom, nullptr);
+        ASSERT_GT(g->verifyRows(), cfg.sampleRows);
+    }
+
+    // The boosted verification sampled other rows than the canary's
+    // sampleRows, so the canary pays for exactly its own.
+    const uint64_t base = gemmMacs(plain, noise, w, geom);
+    audit::setCanaryRate(1.0);
+    const uint64_t with_canary = gemmMacs(canaried, noise, w, geom);
+    EXPECT_EQ(with_canary - base,
+              static_cast<uint64_t>(cfg.sampleRows) * geom.cols() *
+                  w.shape().cols());
+    EXPECT_EQ(audit::canarySamples(), 1u);
 }
 
 TEST(Canary, FractionalRateIsADeterministicCreditAccumulator)
@@ -288,7 +434,7 @@ TEST(Canary, FractionalRateIsADeterministicCreditAccumulator)
     ConvGeometry geom = f.conv.lastGeometry();
     Tensor w = f.conv.weightMatrix();
 
-    canary::setRate(0.25);
+    audit::setCanaryRate(0.25);
     GuardConfig cfg;
     cfg.marginFactor = 1e9;
     GuardedReuseConvAlgo algo(ReusePattern::conventional(geom, 8), cfg,
@@ -298,7 +444,7 @@ TEST(Canary, FractionalRateIsADeterministicCreditAccumulator)
     // forwards 4 and 8 are sampled, nothing else — exactly, every run.
     for (int i = 0; i < 8; ++i)
         algo.multiply(sample, w, geom, nullptr);
-    EXPECT_EQ(canary::totalSamples(), 2u);
+    EXPECT_EQ(audit::canarySamples(), 2u);
 }
 
 TEST(Canary, BreachesWhenOverloadShedsGuardVerification)
@@ -313,7 +459,7 @@ TEST(Canary, BreachesWhenOverloadShedsGuardVerification)
     // but at overload level 2 the guard accepts on trust without
     // verifying. The canary is the only accuracy signal left, and it
     // must catch what verification would have.
-    canary::setRate(1.0);
+    audit::setCanaryRate(1.0);
     GuardConfig cfg;
     cfg.marginFactor = 1e-18;
     GuardedReuseConvAlgo algo(ReusePattern::conventional(geom, 8), cfg,
@@ -326,16 +472,18 @@ TEST(Canary, BreachesWhenOverloadShedsGuardVerification)
     overload::setLevel(0);
 
     EXPECT_EQ(algo.lastRung(), GuardRung::FullReuse);
-    EXPECT_EQ(canary::totalSamples(), 2u);
-    EXPECT_EQ(canary::totalBreaches(), 2u);
-    std::vector<canary::CanaryStats> series = canary::snapshot();
+    EXPECT_EQ(audit::canarySamples(), 2u);
+    EXPECT_EQ(audit::canaryBreaches(), 2u);
+    std::vector<audit::LayerAudit> series = audit::snapshot().layers;
     ASSERT_EQ(series.size(), 1u);
-    EXPECT_EQ(series[0].breaches, 2u);
-    EXPECT_GT(series[0].lastError, 0.0);
+    EXPECT_EQ(series[0].canaryBreaches, 2u);
+    EXPECT_GT(series[0].canaryLast, 0.0);
     EXPECT_EQ(metrics::counter("canary.breaches").get(), 2u);
 
-    const std::string json = canary::toJson();
-    EXPECT_NE(json.find("genreuse.canary/1"), std::string::npos);
+    const std::string json = audit::toJson();
+    EXPECT_NE(json.find("genreuse.audit/1"), std::string::npos);
+    EXPECT_NE(json.find("\"canary_breaches\": 2"), std::string::npos)
+        << json;
 }
 
 TEST(Canary, ExactFallbackIsNotCanaried)
@@ -349,7 +497,7 @@ TEST(Canary, ExactFallbackIsNotCanaried)
     // At overload level 0 the same tiny margin walks the ladder to the
     // exact fallback; the output is exact, so there is nothing for the
     // canary to check — accepted *reuse* outputs only.
-    canary::setRate(1.0);
+    audit::setCanaryRate(1.0);
     GuardConfig cfg;
     cfg.marginFactor = 1e-18;
     cfg.maxReclusters = 1;
@@ -359,8 +507,8 @@ TEST(Canary, ExactFallbackIsNotCanaried)
     algo.multiply(sample, w, geom, nullptr);
 
     EXPECT_EQ(algo.lastRung(), GuardRung::ExactFallback);
-    EXPECT_EQ(canary::totalSamples(), 0u);
-    EXPECT_EQ(canary::totalBreaches(), 0u);
+    EXPECT_EQ(audit::canarySamples(), 0u);
+    EXPECT_EQ(audit::canaryBreaches(), 0u);
 }
 
 } // namespace

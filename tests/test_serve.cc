@@ -20,7 +20,7 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/overload.h"
-#include "core/canary.h"
+#include "core/reuse_audit.h"
 #include "core/guard.h"
 #include "core/reuse_conv.h"
 #include "core/stream_context.h"
@@ -810,8 +810,8 @@ TEST(ChaosSoak, MultiEventScheduleFaultsTwoStreamsOthersBitIdentical)
 TEST(ChaosSoak, CanaryKeepsSamplingWhenOverloadShedsVerification)
 {
     faultpoint::disarm();
-    canary::reset();
-    canary::setRate(1.0);
+    audit::reset();
+    audit::setCanaryRate(1.0);
     ConvFixture f;
     Tensor sample = f.sampleX();
     ConvGeometry geom = f.conv.lastGeometry();
@@ -838,13 +838,13 @@ TEST(ChaosSoak, CanaryKeepsSamplingWhenOverloadShedsVerification)
     EXPECT_EQ(st.overloadLevel, overload::kMaxLevel);
     // Rate 1.0 samples literally every accepted forward — verified or
     // not — and the in-distribution input breaches nothing.
-    EXPECT_EQ(canary::totalSamples(), 12u);
-    EXPECT_EQ(canary::totalBreaches(), 0u);
+    EXPECT_EQ(audit::canarySamples(), 12u);
+    EXPECT_EQ(audit::canaryBreaches(), 0u);
 
     engine.shutdown();
     EXPECT_EQ(overload::level(), 0);
-    canary::setRate(0.0);
-    canary::reset();
+    audit::setCanaryRate(0.0);
+    audit::reset();
 }
 
 TEST(LoadGen, PercentilesInterpolate)

@@ -22,7 +22,6 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/overload.h"
-#include "core/canary.h"
 #include "core/guard.h"
 #include "core/reuse_audit.h"
 #include "core/reuse_conv.h"
@@ -62,9 +61,8 @@ struct SloSandbox
         guard::reset();
         metrics::reset();
         audit::setEnabled(false);
+        audit::setCanaryRate(0.0);
         audit::reset();
-        canary::setRate(0.0);
-        canary::reset();
         eventlog::setEnabled(false);
         eventlog::reset();
     }
@@ -279,19 +277,20 @@ TEST(Slo, CanaryCounterResetClampsWindowDeltas)
     spec.slowTicks = 2;
     SloMonitor monitor(engine, {spec});
 
-    canary::setRate(1.0);
-    int owner = 0;
+    audit::setCanaryRate(1.0);
+    const StateOwner owner;
     monitor.tick();
     for (int i = 0; i < 5; ++i)
-        canary::observe(&owner, /*rel_error=*/1.0, /*rel_budget=*/0.1,
-                        /*rows=*/4, /*breach=*/true);
+        audit::recordCanary(owner.serial(), /*rel_error=*/1.0,
+                            /*rel_budget=*/0.1, /*rows=*/4,
+                            /*breach=*/true);
     monitor.tick();
     ASSERT_TRUE(monitor.anyFiring());
 
     // A mid-flight canary reset makes the raw counter deltas negative;
     // the monitor must clamp them to zero (an empty window), clear,
     // and keep ticking rather than firing on garbage.
-    canary::reset();
+    audit::reset();
     monitor.tick();
     EXPECT_FALSE(monitor.anyFiring());
     std::vector<SloState> states = monitor.states();
@@ -382,7 +381,7 @@ TEST(Slo, OodStormBreachesCanaryFiresAlertAndDegradesHealth)
     ConvGeometry geom = conv.lastGeometry();
     Tensor w = conv.weightMatrix();
 
-    canary::setRate(1.0);
+    audit::setCanaryRate(1.0);
     eventlog::setEnabled(true);
 
     ServeConfig cfg;
@@ -418,8 +417,8 @@ TEST(Slo, OodStormBreachesCanaryFiresAlertAndDegradesHealth)
     faultpoint::disarm();
 
     EXPECT_EQ(engine.stats().overloadLevel, overload::kMaxLevel);
-    EXPECT_GT(canary::totalSamples(), 0u);
-    ASSERT_GT(canary::totalBreaches(), 0u);
+    EXPECT_GT(audit::canarySamples(), 0u);
+    ASSERT_GT(audit::canaryBreaches(), 0u);
 
     monitor.tick();
     ASSERT_TRUE(monitor.anyFiring());
