@@ -1,9 +1,10 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the hot kernels underneath the
- * paper reproduction: blocked GEMM, im2col, 1x1 conv eval forwards at
- * SqueezeNet Fire shapes, guarded-reuse conv eval forwards on the fused
- * and the im2col path, im2col reordering, LSH
+ * paper reproduction: blocked GEMM (and its narrow-N tile), im2col,
+ * 1x1 conv eval forwards at SqueezeNet Fire shapes, guarded-reuse conv
+ * eval forwards on the fused and the im2col path, the eval epilogue
+ * kernels (row-outer recovery, BatchNorm), im2col reordering, LSH
  * signatures/clustering, and the vertical/horizontal reuse GEMMs
  * against the exact GEMM on redundant inputs. These are wall-clock
  * numbers of this host library (the MCU latencies in the table/figure
@@ -257,6 +258,93 @@ BM_MaxPoolEval(benchmark::State &state)
     state.SetLabel(ops.name);
 }
 BENCHMARK(BM_MaxPoolEval)->Arg(0)->Arg(1);
+
+void
+BM_RecoverRows(benchmark::State &state)
+{
+    // Row-outer vertical recovery of one image: every output row summed
+    // across its slices' centroid rows. Args: shape (0 = CifarNet conv2,
+    // 256 rows x 64 channels over 64 C1 slices with 10 clusters each;
+    // 1 = Fire8 expand_3x3, 16 rows x 256 channels over 64 C2 slices
+    // with 8 clusters each) and kernel (0 = dispatched, 1 = scalar
+    // oracle).
+    const bool fire = state.range(0) == 1;
+    const size_t n = fire ? 16 : 256, m = fire ? 256 : 64, ns = 64;
+    const size_t nc = fire ? 8 : 10;
+    Rng rng(8);
+    const Tensor yc = Tensor::randomNormal({ns * nc, m}, rng);
+    std::vector<const float *> slices(ns);
+    for (size_t k = 0; k < ns; ++k)
+        slices[k] = yc.data() + k * nc * m;
+    std::vector<uint32_t> ids(ns * n);
+    for (uint32_t &id : ids)
+        id = static_cast<uint32_t>(rng.uniformInt(nc));
+    Tensor y({n, m});
+    const simd::Ops &ops = opsForArg(state.range(1));
+    for (auto _ : state) {
+        ops.recoverRows(slices.data(), ids.data(), ns, n, m, y.data());
+        benchmark::DoNotOptimize(y.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(std::string(fire ? "fire8" : "conv2") + " " + ops.name);
+}
+BENCHMARK(BM_RecoverRows)
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1});
+
+void
+BM_BatchNormEval(benchmark::State &state)
+{
+    // Eval BatchNorm of one image with running statistics. Args: shape
+    // (0 = 64 channels @ 16x16, a Fire2 expand; 1 = 512 channels @ 4x4,
+    // a Fire8 output) and kernel (0 = dispatched, 1 = scalar oracle).
+    const bool late = state.range(0) == 1;
+    const size_t channels = late ? 512 : 64, hw = late ? 16 : 256;
+    Rng rng(9);
+    const Tensor x = Tensor::randomNormal({channels * hw}, rng);
+    const Tensor mean = Tensor::randomNormal({channels}, rng);
+    const Tensor var = Tensor::full({channels}, 0.5f);
+    const Tensor gamma = Tensor::randomNormal({channels}, rng);
+    const Tensor beta = Tensor::randomNormal({channels}, rng);
+    Tensor y({channels * hw});
+    const simd::Ops &ops = opsForArg(state.range(1));
+    for (auto _ : state) {
+        ops.batchNormEval(x.data(), 1, channels, hw, mean.data(), var.data(),
+                          1e-5f, gamma.data(), beta.data(), y.data());
+        benchmark::DoNotOptimize(y.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(std::string(late ? "512x4x4" : "64x16x16") + " " +
+                   ops.name);
+}
+BENCHMARK(BM_BatchNormEval)
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1});
+
+void
+BM_GemmNarrow(benchmark::State &state)
+{
+    // A GEMM narrower than 32 columns: Fire8's squeeze conv on its 4x4
+    // planes, (64 x 384) x (384 x 16). Arg: kernel (0 = dispatched,
+    // 1 = scalar oracle).
+    const size_t m = 64, n = 16, k = 384;
+    Rng rng(10);
+    const Tensor a = Tensor::randomNormal({m, k}, rng);
+    const Tensor b = Tensor::randomNormal({k, n}, rng);
+    Tensor c({m, n});
+    const simd::Ops &ops = opsForArg(state.range(0));
+    for (auto _ : state) {
+        ops.gemmF32(a.data(), b.data(), c.data(), m, n, k, k, n, n, false);
+        benchmark::DoNotOptimize(c.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(ops.name);
+}
+BENCHMARK(BM_GemmNarrow)->Arg(0)->Arg(1);
 
 void
 BM_ExactGemmRedundant(benchmark::State &state)

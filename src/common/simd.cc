@@ -19,7 +19,7 @@ namespace genreuse::simd {
 // original accumulation. Vector tables must reproduce these
 // bit-for-bit (see simd.h). The oracles with external linkage are the
 // ones vector tables share: as their whole entry (NEON) or for the
-// edges their vector loop leaves (AVX2 transpose).
+// edges their vector loop leaves (the AVX2 transposes).
 
 namespace {
 
@@ -218,18 +218,20 @@ maxPool2x2Scalar(const float *src, size_t planes, size_t ih, size_t iw,
     }
 }
 
+namespace {
+
 /**
  * In square tiles so both sides stay cache-resident; the inner loop
  * walks the destination contiguously. With it innermost on the source,
  * every store was a `rows`-float stride, which aliases in the cache
  * when rows is a power of two (a 1024 x 64 conv output took about 8x
- * longer).
- *
- * transposeScalar() of source rows [r0, r1) x columns [c0, c1) only.
+ * longer). With @p Bias each element gets src + bias[c].
  */
+template <bool Bias>
 void
-transposeTileScalar(const float *src, size_t rows, size_t cols, size_t r0,
-                    size_t r1, size_t c0, size_t c1, float *dst)
+transposeTile(const float *src, size_t rows, size_t cols, size_t r0,
+              size_t r1, size_t c0, size_t c1, const float *bias,
+              float *dst)
 {
     constexpr size_t kTile = 16;
     for (size_t t0 = r0; t0 < r1; t0 += kTile) {
@@ -237,16 +239,97 @@ transposeTileScalar(const float *src, size_t rows, size_t cols, size_t r0,
         for (size_t u0 = c0; u0 < c1; u0 += kTile) {
             const size_t u1 = std::min(c1, u0 + kTile);
             for (size_t c = u0; c < u1; ++c)
-                for (size_t r = t0; r < t1; ++r)
-                    dst[c * rows + r] = src[r * cols + c];
+                for (size_t r = t0; r < t1; ++r) {
+                    if constexpr (Bias)
+                        dst[c * rows + r] = src[r * cols + c] + bias[c];
+                    else
+                        dst[c * rows + r] = src[r * cols + c];
+                }
         }
     }
+}
+
+} // namespace
+
+/** transposeScalar() of source rows [r0, r1) x columns [c0, c1) only. */
+void
+transposeTileScalar(const float *src, size_t rows, size_t cols, size_t r0,
+                    size_t r1, size_t c0, size_t c1, float *dst)
+{
+    transposeTile<false>(src, rows, cols, r0, r1, c0, c1, nullptr, dst);
 }
 
 void
 transposeScalar(const float *src, size_t rows, size_t cols, float *dst)
 {
     transposeTileScalar(src, rows, cols, 0, rows, 0, cols, dst);
+}
+
+/** transposeBiasScalar() of source rows [r0, r1) x columns [c0, c1). */
+void
+transposeBiasTileScalar(const float *src, size_t rows, size_t cols,
+                        size_t r0, size_t r1, size_t c0, size_t c1,
+                        const float *bias, float *dst)
+{
+    transposeTile<true>(src, rows, cols, r0, r1, c0, c1, bias, dst);
+}
+
+/** The per-column bias add and the transpose in one pass: one add per
+ *  element, src + bias[c], the add an addInto of the bias row makes. */
+void
+transposeBiasScalar(const float *src, size_t rows, size_t cols,
+                    const float *bias, float *dst)
+{
+    transposeBiasTileScalar(src, rows, cols, 0, rows, 0, cols, bias, dst);
+}
+
+void
+recoverRowsScalar(const float *const *slices, const uint32_t *ids,
+                  size_t ns, size_t n, size_t m, float *y)
+{
+    for (size_t row = 0; row < n; ++row) {
+        float *yr = y + row * m;
+        std::fill(yr, yr + m, 0.0f);
+        for (size_t k = 0; k < ns; ++k) {
+            const float *src = slices[k] + size_t{ids[k * n + row]} * m;
+            for (size_t j = 0; j < m; ++j)
+                yr[j] += src[j];
+        }
+    }
+}
+
+void
+addChannelBiasScalar(float *x, const float *bias, size_t batch,
+                     size_t channels, size_t hw)
+{
+    float *row = x;
+    for (size_t b = 0; b < batch; ++b)
+        for (size_t c = 0; c < channels; ++c, row += hw) {
+            const float bc = bias[c];
+            for (size_t p = 0; p < hw; ++p)
+                row[p] += bc;
+        }
+}
+
+void
+batchNormEvalScalar(const float *x, size_t batch, size_t channels,
+                    size_t hw, const float *mean, const float *var,
+                    float eps, const float *gamma, const float *beta,
+                    float *y)
+{
+    for (size_t c = 0; c < channels; ++c) {
+        const float mu = mean[c];
+        const float is = 1.0f / std::sqrt(var[c] + eps);
+        const float g = gamma[c], bt = beta[c];
+        for (size_t b = 0; b < batch; ++b) {
+            const float *px = x + (b * channels + c) * hw;
+            float *py = y + (b * channels + c) * hw;
+            for (size_t i = 0; i < hw; ++i) {
+                const float xn = (px[i] - mu) * is;
+                py[i] = g * xn + bt;
+            }
+        }
+    }
 }
 
 namespace {
@@ -265,6 +348,10 @@ constexpr Ops kScalarOps = {
     clusterSumsScalar,
     maxPool2x2Scalar,
     transposeScalar,
+    recoverRowsScalar,
+    transposeBiasScalar,
+    addChannelBiasScalar,
+    batchNormEvalScalar,
 };
 
 std::atomic<const Ops *> g_active{nullptr};

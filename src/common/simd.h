@@ -3,8 +3,9 @@
  * Runtime SIMD kernel dispatch, after TFLite-Micro's replaceable-kernel
  * design: every hot inner loop (f32 GEMM, raw int8 GEMM, the LSH sign
  * pass and gathered-patch hashing, gathered cluster sums, elementwise
- * add/scale, eval ReLU and 2x2 max-pool, the non-finite scan, the
- * layout transpose) is reached through a per-process ops
+ * add/scale, eval ReLU, BatchNorm and 2x2 max-pool, the non-finite
+ * scan, the layout transpose, and the reuse recovery and bias
+ * epilogues) is reached through a per-process ops
  * table selected once at startup from CPU capabilities, overridable
  * with `GENREUSE_SIMD=scalar|avx2|neon`.
  *
@@ -17,7 +18,9 @@
  *    (no FMA contraction), so each output element sees the exact same
  *    IEEE-754 op sequence. This is what lets the guard ladder's
  *    exact-GEMM rung stay bit-identical to the pre-dispatch output
- *    regardless of the level selected.
+ *    regardless of the level selected. The one exception: when both
+ *    operands of an add or multiply are NaN, which payload comes out
+ *    follows operand order, and a compiler may commute the operands.
  *  - Integer kernels are exact by construction.
  *
  * Levels that were not compiled in (or that the CPU lacks) silently
@@ -116,6 +119,38 @@ struct Ops
      *  every level is trivially bit-identical. */
     void (*transpose)(const float *src, size_t rows, size_t cols,
                       float *dst);
+
+    /**
+     * Row-outer vertical recovery: row r (< n) of the row-major (n x m)
+     * @p y is 0 + s_0 + s_1 + ... + s_{ns-1}, elementwise, with s_k =
+     * row ids[k * n + r] of slice k's (clusters x m) centroid products
+     * @p slices[k]. That is the sequence of zeroing the row and adding
+     * each slice's centroid row into it, slices ascending.
+     */
+    void (*recoverRows)(const float *const *slices, const uint32_t *ids,
+                        size_t ns, size_t n, size_t m, float *y);
+
+    /** dst[c][r] = src[r][c] + bias[c] for a row-major (rows x cols)
+     *  @p src: the per-column bias add and the transpose in one pass,
+     *  one add per element with the source value as first operand. */
+    void (*transposeBias)(const float *src, size_t rows, size_t cols,
+                          const float *bias, float *dst);
+
+    /** x[(b * channels + c) * hw + p] += bias[c] over @p batch images
+     *  of @p channels (hw)-float planes. */
+    void (*addChannelBias)(float *x, const float *bias, size_t batch,
+                           size_t channels, size_t hw);
+
+    /**
+     * Eval BatchNorm over @p batch images of @p channels (hw)-float
+     * planes, with running statistics: per channel c, is = 1 / sqrt(
+     * var[c] + eps), then y = gamma[c] * ((x - mean[c]) * is) +
+     * beta[c], each multiply and add rounded separately (no FMA).
+     */
+    void (*batchNormEval)(const float *x, size_t batch, size_t channels,
+                          size_t hw, const float *mean, const float *var,
+                          float eps, const float *gamma, const float *beta,
+                          float *y);
 };
 
 /** True when @p level is compiled in AND supported by this CPU. */

@@ -23,6 +23,12 @@
  * masked loads (lanes past n read as zero and are never stored), and
  * each row's partial sums are added into C one scalar column at a
  * time, so nothing past column n is written.
+ *
+ * Panels narrower than 32 columns (SqueezeNet's late pointwise convs
+ * have n = HW = 16) run a 4-row tile over their full 8-column vectors:
+ * one B load feeds four rows' accumulators, so four independent add
+ * chains per vector replace the 1x8 tile's one, with each lane's
+ * sequence unchanged.
  */
 
 #include "simd.h"
@@ -39,11 +45,14 @@
 
 namespace genreuse::simd {
 
-// The scalar oracle's tiled transpose (simd.cc), for the edges the
+// The scalar oracle's tiled transposes (simd.cc), for the edges the
 // 8 x 8 blocks leave.
 void transposeTileScalar(const float *src, size_t rows, size_t cols,
                          size_t r0, size_t r1, size_t c0, size_t c1,
                          float *dst);
+void transposeBiasTileScalar(const float *src, size_t rows, size_t cols,
+                             size_t r0, size_t r1, size_t c0, size_t c1,
+                             const float *bias, float *dst);
 
 namespace {
 
@@ -125,12 +134,63 @@ narrowTileAvx2(const float *a, const float *b, float *c, size_t rows,
     }
 }
 
+/**
+ * The first @p rows (a multiple of four) rows of a panel whose F full
+ * 8-column vectors are all it has below 32 columns: per step of p, F B
+ * loads feed 4 * F independent accumulators, each the 1x8 tile's
+ * acc += a[i][p] * b[p][j] chain for its lane.
+ */
+template <size_t F>
+void
+fourRowTileAvx2(const float *a, const float *b, float *c, size_t rows,
+                size_t kc, size_t lda, size_t ldb, size_t ldc)
+{
+    for (size_t i = 0; i < rows; i += 4) {
+        const float *ai = a + i * lda;
+        __m256 acc[4][F];
+#pragma GCC unroll 12
+        for (size_t t = 0; t < 4 * F; ++t)
+            acc[t / F][t % F] = _mm256_setzero_ps();
+        for (size_t p = 0; p < kc; ++p) {
+            __m256 bv[F];
+#pragma GCC unroll 3
+            for (size_t f = 0; f < F; ++f)
+                bv[f] = _mm256_loadu_ps(b + p * ldb + 8 * f);
+#pragma GCC unroll 4
+            for (size_t r = 0; r < 4; ++r) {
+                const __m256 av = _mm256_broadcast_ss(ai + r * lda + p);
+#pragma GCC unroll 3
+                for (size_t f = 0; f < F; ++f)
+                    acc[r][f] = _mm256_add_ps(acc[r][f],
+                                              _mm256_mul_ps(av, bv[f]));
+            }
+        }
+#pragma GCC unroll 12
+        for (size_t t = 0; t < 4 * F; ++t) {
+            float *ct = c + (i + t / F) * ldc + 8 * (t % F);
+            _mm256_storeu_ps(ct, _mm256_add_ps(_mm256_loadu_ps(ct),
+                                               acc[t / F][t % F]));
+        }
+    }
+}
+
+using FourRowTileFn = void (*)(const float *, const float *, float *, size_t,
+                               size_t, size_t, size_t, size_t);
+
+constexpr FourRowTileFn kFourRowTiles[3] = {
+    &fourRowTileAvx2<1>, &fourRowTileAvx2<2>, &fourRowTileAvx2<3>};
+
 void
 microKernelAvx2(const float *a, const float *b, float *c, size_t rows,
                 size_t cols, size_t kc, size_t lda, size_t ldb, size_t ldc)
 {
     const size_t full = cols - cols % 8;
-    for (size_t i = 0; i < rows; ++i) {
+    size_t i0 = 0;
+    if (cols < 32 && full > 0) {
+        i0 = rows - rows % 4;
+        kFourRowTiles[full / 8 - 1](a, b, c, i0, kc, lda, ldb, ldc);
+    }
+    for (size_t i = i0; i < rows; ++i) {
         const float *ai = a + i * lda;
         float *ci = c + i * ldc;
         size_t j = 0;
@@ -670,9 +730,12 @@ maxPool2x2Avx2(const float *src, size_t planes, size_t ih, size_t iw,
 }
 
 /** dst (8 rows, stride ldd) = the 8 x 8 block at src (stride lds),
- *  transposed in registers. */
+ *  transposed in registers; with @p Bias, destination row i (source
+ *  column i) then gets + bias[i]. */
+template <bool Bias>
 inline void
-transpose8x8Block(const float *src, size_t lds, float *dst, size_t ldd)
+transpose8x8Block(const float *src, size_t lds, float *dst, size_t ldd,
+                  const float *bias = nullptr)
 {
     __m256 r[8], t[8];
 #pragma GCC unroll 8
@@ -693,10 +756,14 @@ transpose8x8Block(const float *src, size_t lds, float *dst, size_t ldd)
     }
 #pragma GCC unroll 4
     for (size_t i = 0; i < 4; ++i) {
-        _mm256_storeu_ps(dst + i * ldd,
-                         _mm256_permute2f128_ps(r[i], r[i + 4], 0x20));
-        _mm256_storeu_ps(dst + (i + 4) * ldd,
-                         _mm256_permute2f128_ps(r[i], r[i + 4], 0x31));
+        __m256 lo = _mm256_permute2f128_ps(r[i], r[i + 4], 0x20);
+        __m256 hi = _mm256_permute2f128_ps(r[i], r[i + 4], 0x31);
+        if constexpr (Bias) {
+            lo = _mm256_add_ps(lo, _mm256_broadcast_ss(bias + i));
+            hi = _mm256_add_ps(hi, _mm256_broadcast_ss(bias + i + 4));
+        }
+        _mm256_storeu_ps(dst + i * ldd, lo);
+        _mm256_storeu_ps(dst + (i + 4) * ldd, hi);
     }
 }
 
@@ -712,10 +779,142 @@ transposeAvx2(const float *src, size_t rows, size_t cols, float *dst)
     const size_t r8 = rows - rows % 8, c8 = cols - cols % 8;
     for (size_t c0 = 0; c0 < c8; c0 += 8)
         for (size_t r0 = 0; r0 < r8; r0 += 8)
-            transpose8x8Block(src + r0 * cols + c0, cols,
-                              dst + c0 * rows + r0, rows);
+            transpose8x8Block<false>(src + r0 * cols + c0, cols,
+                                     dst + c0 * rows + r0, rows);
     transposeTileScalar(src, rows, cols, 0, r8, c8, cols, dst);
     transposeTileScalar(src, rows, cols, r8, rows, 0, cols, dst);
+}
+
+/** transposeAvx2 with the bias added to each 8 x 8 block's rows in
+ *  registers (src + bias[c], as the oracle), and the oracle's loop on
+ *  the edges. */
+void
+transposeBiasAvx2(const float *src, size_t rows, size_t cols,
+                  const float *bias, float *dst)
+{
+    const size_t r8 = rows - rows % 8, c8 = cols - cols % 8;
+    for (size_t c0 = 0; c0 < c8; c0 += 8)
+        for (size_t r0 = 0; r0 < r8; r0 += 8)
+            transpose8x8Block<true>(src + r0 * cols + c0, cols,
+                                    dst + c0 * rows + r0, rows, bias + c0);
+    transposeBiasTileScalar(src, rows, cols, 0, r8, c8, cols, bias, dst);
+    transposeBiasTileScalar(src, rows, cols, r8, rows, 0, cols, bias, dst);
+}
+
+/**
+ * Up to V vectors (8V columns) of one output row, summed across every
+ * slice in ymm accumulators and stored once: each lane starts at +0
+ * and adds its slice rows in slice order, the oracle's sequence. With
+ * @p Masked the last vector covers only its first @p w lanes.
+ */
+template <size_t V, bool Masked>
+void
+recoverChunkAvx2(const float *const *slices, const uint32_t *ids,
+                 size_t ns, size_t n, size_t m, size_t row, size_t j0,
+                 size_t w, float *y)
+{
+    const __m256i tail = Masked ? firstLanes(w) : _mm256_setzero_si256();
+    __m256 acc[V];
+#pragma GCC unroll 8
+    for (size_t v = 0; v < V; ++v)
+        acc[v] = _mm256_setzero_ps();
+    for (size_t k = 0; k < ns; ++k) {
+        const float *src = slices[k] + size_t{ids[k * n + row]} * m + j0;
+#pragma GCC unroll 8
+        for (size_t v = 0; v < V; ++v)
+            acc[v] = _mm256_add_ps(
+                acc[v], Masked && v + 1 == V
+                            ? _mm256_maskload_ps(src + 8 * v, tail)
+                            : _mm256_loadu_ps(src + 8 * v));
+    }
+    float *dst = y + row * m + j0;
+#pragma GCC unroll 8
+    for (size_t v = 0; v < V; ++v) {
+        if (Masked && v + 1 == V)
+            _mm256_maskstore_ps(dst + 8 * v, tail, acc[v]);
+        else
+            _mm256_storeu_ps(dst + 8 * v, acc[v]);
+    }
+}
+
+using RecoverChunkFn = void (*)(const float *const *, const uint32_t *,
+                                size_t, size_t, size_t, size_t, size_t,
+                                size_t, float *);
+
+template <size_t... V>
+constexpr std::array<RecoverChunkFn, sizeof...(V)>
+recoverChunkTable(std::index_sequence<V...>)
+{
+    return {&recoverChunkAvx2<V + 1, false>...};
+}
+
+constexpr auto kRecoverChunks =
+    recoverChunkTable(std::make_index_sequence<8>{});
+
+/** Each row in chunks of up to 64 columns (eight accumulators); the
+ *  last m % 8 columns take one masked vector. */
+void
+recoverRowsAvx2(const float *const *slices, const uint32_t *ids, size_t ns,
+                size_t n, size_t m, float *y)
+{
+    const size_t full = m / 8;
+    for (size_t row = 0; row < n; ++row) {
+        for (size_t v0 = 0; v0 < full; v0 += 8)
+            kRecoverChunks[std::min<size_t>(8, full - v0) - 1](
+                slices, ids, ns, n, m, row, 8 * v0, 0, y);
+        if (m % 8 != 0)
+            recoverChunkAvx2<1, true>(slices, ids, ns, n, m, row, 8 * full,
+                                      m % 8, y);
+    }
+}
+
+void
+addChannelBiasAvx2(float *x, const float *bias, size_t batch,
+                   size_t channels, size_t hw)
+{
+    float *row = x;
+    for (size_t b = 0; b < batch; ++b)
+        for (size_t c = 0; c < channels; ++c, row += hw) {
+            const float bc = bias[c];
+            const __m256 bv = _mm256_set1_ps(bc);
+            size_t p = 0;
+            for (; p + 8 <= hw; p += 8)
+                _mm256_storeu_ps(row + p,
+                                 _mm256_add_ps(_mm256_loadu_ps(row + p), bv));
+            for (; p < hw; ++p)
+                row[p] += bc;
+        }
+}
+
+/** The oracle's per-channel scalars broadcast; the same sub, mul, mul,
+ *  add per element in the same operand order. */
+void
+batchNormEvalAvx2(const float *x, size_t batch, size_t channels, size_t hw,
+                  const float *mean, const float *var, float eps,
+                  const float *gamma, const float *beta, float *y)
+{
+    for (size_t c = 0; c < channels; ++c) {
+        const float mu = mean[c];
+        const float is = 1.0f / std::sqrt(var[c] + eps);
+        const float g = gamma[c], bt = beta[c];
+        const __m256 muv = _mm256_set1_ps(mu), isv = _mm256_set1_ps(is);
+        const __m256 gv = _mm256_set1_ps(g), btv = _mm256_set1_ps(bt);
+        for (size_t b = 0; b < batch; ++b) {
+            const float *px = x + (b * channels + c) * hw;
+            float *py = y + (b * channels + c) * hw;
+            size_t i = 0;
+            for (; i + 8 <= hw; i += 8) {
+                const __m256 xn = _mm256_mul_ps(
+                    _mm256_sub_ps(_mm256_loadu_ps(px + i), muv), isv);
+                _mm256_storeu_ps(
+                    py + i, _mm256_add_ps(_mm256_mul_ps(gv, xn), btv));
+            }
+            for (; i < hw; ++i) {
+                const float xn = (px[i] - mu) * is;
+                py[i] = g * xn + bt;
+            }
+        }
+    }
 }
 
 const Ops kAvx2Ops = {
@@ -732,6 +931,10 @@ const Ops kAvx2Ops = {
     clusterSumsAvx2,
     maxPool2x2Avx2,
     transposeAvx2,
+    recoverRowsAvx2,
+    transposeBiasAvx2,
+    addChannelBiasAvx2,
+    batchNormEvalAvx2,
 };
 
 } // namespace

@@ -29,6 +29,16 @@ void clusterSumsScalar(const float *x, const uint32_t *itemOff,
 void maxPool2x2Scalar(const float *src, size_t planes, size_t ih, size_t iw,
                       size_t oh, size_t ow, float *dst);
 void transposeScalar(const float *src, size_t rows, size_t cols, float *dst);
+void recoverRowsScalar(const float *const *slices, const uint32_t *ids,
+                       size_t ns, size_t n, size_t m, float *y);
+void transposeBiasScalar(const float *src, size_t rows, size_t cols,
+                         const float *bias, float *dst);
+void addChannelBiasScalar(float *x, const float *bias, size_t batch,
+                          size_t channels, size_t hw);
+void batchNormEvalScalar(const float *x, size_t batch, size_t channels,
+                         size_t hw, const float *mean, const float *var,
+                         float eps, const float *gamma, const float *beta,
+                         float *y);
 
 namespace {
 
@@ -254,6 +264,10 @@ const Ops kNeonOps = {
     clusterSumsScalar,
     maxPool2x2Scalar,
     transposeScalar,
+    recoverRowsScalar,
+    transposeBiasScalar,
+    addChannelBiasScalar,
+    batchNormEvalScalar,
 };
 
 } // namespace

@@ -193,7 +193,9 @@ verticalReuseCore(const Source &src, const Tensor &w,
     // output row is summed once from its slices' centroid rows. Per
     // element that is the same float sequence as zeroing y and adding
     // one slice at a time, without streaming y through the cache once
-    // per slice. Neuron blocks (r > 1) still accumulate slice by slice.
+    // per slice; with no exact-fallback slice, simd::recoverRows keeps
+    // each row in registers across the slices and stores it once.
+    // Neuron blocks (r > 1) still accumulate slice by slice.
     const bool row_outer = r == 1;
     if (!row_outer)
         y.zero(); // slices accumulate
@@ -369,7 +371,14 @@ verticalReuseCore(const Source &src, const Tensor &w,
         }
     }
 
-    if (row_outer) {
+    const bool any_fallback =
+        row_outer && std::find(slice_yc, slice_yc + slicing.numSlices,
+                               nullptr) != slice_yc + slicing.numSlices;
+    if (row_outer && !any_fallback) {
+        profiler::ProfSpan recover_span("vertical.recover");
+        simd_ops.recoverRows(slice_yc, slice_ids, slicing.numSlices, n, m,
+                             y.data());
+    } else if (row_outer) {
         profiler::ProfSpan recover_span("vertical.recover");
         for (size_t row = 0; row < n; ++row) {
             float *yr = y.data() + row * m;

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/simd.h"
 
 namespace genreuse {
 
@@ -32,19 +33,10 @@ BatchNorm2D::forward(const Tensor &x, bool training)
     if (!training) {
         // Running statistics; nothing is cached, since backward() only
         // follows a training forward.
-        for (size_t c = 0; c < channels_; ++c) {
-            const float mu = runningMean_[c];
-            const float is = 1.0f / std::sqrt(runningVar_[c] + eps_);
-            const float g = gamma_.value[c], bt = beta_.value[c];
-            for (size_t b = 0; b < s.batch(); ++b) {
-                const float *px = x.data() + (b * channels_ + c) * hw;
-                float *py = y.data() + (b * channels_ + c) * hw;
-                for (size_t i = 0; i < hw; ++i) {
-                    const float xn = (px[i] - mu) * is;
-                    py[i] = g * xn + bt;
-                }
-            }
-        }
+        simd::ops().batchNormEval(x.data(), s.batch(), channels_, hw,
+                                  runningMean_.data(), runningVar_.data(),
+                                  eps_, gamma_.value.data(),
+                                  beta_.value.data(), y.data());
         return y;
     }
 

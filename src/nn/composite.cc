@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "common/simd.h"
 
 namespace genreuse {
 
@@ -93,10 +94,8 @@ FireModule::forward(const Tensor &x, bool training)
         e3 = expand3Bn_->forward(e3, training);
     e3 = expand3Relu_->forward(e3, training);
     Tensor out = concatChannels(e1, e3);
-    if (bypass_) {
-        for (size_t i = 0; i < out.size(); ++i)
-            out[i] += x[i];
-    }
+    if (bypass_)
+        simd::ops().addInto(out.data(), x.data(), out.size());
     return out;
 }
 
@@ -240,16 +239,15 @@ ResidualBlock::forward(const Tensor &x, bool training)
     const Tensor &shortcut = proj_ ? projected : x;
     GENREUSE_REQUIRE(shortcut.size() == main.size(),
                      "residual shape mismatch in ", name());
-    for (size_t i = 0; i < main.size(); ++i)
-        main[i] += shortcut[i];
+    const simd::Ops &simd_ops = simd::ops();
+    simd_ops.addInto(main.data(), shortcut.data(), main.size());
 
     // Final ReLU (mask kept manually so backward can split gradients).
     if (training) {
         cachedSum_ = main;
         haveCache_ = true;
     }
-    for (size_t i = 0; i < main.size(); ++i)
-        main[i] = main[i] > 0.0f ? main[i] : 0.0f;
+    simd_ops.relu(main.data(), main.data(), main.size());
     return main;
 }
 

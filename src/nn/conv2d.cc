@@ -72,6 +72,7 @@ Conv2D::weightMatrix() const
 const Tensor &
 Conv2D::packedWeights()
 {
+    profiler::ProfSpan span("conv.pack");
     // Compared bit for bit, so the pack follows every way the kernel
     // can change — kernel().value assignment, an optimizer step, a
     // parameter load, a BN fold, or a write through a reference held
@@ -144,18 +145,14 @@ Conv2D::forward(const Tensor &x, bool training)
 }
 
 Tensor
-Conv2D::finishGemmOutput(Tensor &y, const ConvGeometry &geom)
+Conv2D::finishGemmOutput(const Tensor &y, const ConvGeometry &geom)
 {
     profiler::ProfSpan span("conv.bias");
-    const size_t n = y.shape().rows(), m = y.shape().cols();
-    const simd::Ops &simd_ops = simd::ops();
-    for (size_t r = 0; r < n; ++r)
-        simd_ops.addInto(y.data() + r * m, bias_.value.data(), m);
     OpCounts ops;
-    ops.aluOps = n * m;    // bias adds
-    ops.elemMoves = n * m; // fold back into activation layout
+    ops.aluOps = y.size();    // bias adds
+    ops.elemMoves = y.size(); // fold back into activation layout
     reportOps(ledger_, Stage::Recovering, ops);
-    return gemmOutputToActivation(y, geom);
+    return gemmOutputToActivation(y, geom, bias_.value.data());
 }
 
 void
@@ -197,13 +194,8 @@ Conv2D::forwardPointwise(const Tensor &x, const ConvGeometry &geom)
     }
     {
         profiler::ProfSpan span("conv.bias");
-        float *row = out.data();
-        for (size_t b = 0; b < geom.batch; ++b)
-            for (size_t c = 0; c < cout; ++c, row += hw) {
-                const float bc = bias_.value[c];
-                for (size_t p = 0; p < hw; ++p)
-                    row[p] += bc;
-            }
+        simd::ops().addChannelBias(out.data(), bias_.value.data(),
+                                   geom.batch, cout, hw);
         OpCounts ops;
         ops.aluOps = out.size();
         ops.elemMoves = out.size();

@@ -170,8 +170,9 @@ class Conv2D : public Layer
      *  strategy, as one GEMM per image on the NCHW planes. */
     Tensor forwardPointwise(const Tensor &x, const ConvGeometry &geom);
 
-    /** Bias add and fold of a GEMM-layout output (N x M) into NCHW. */
-    Tensor finishGemmOutput(Tensor &y, const ConvGeometry &geom);
+    /** Bias add and fold of a GEMM-layout output (N x M) into NCHW,
+     *  in one pass. */
+    Tensor finishGemmOutput(const Tensor &y, const ConvGeometry &geom);
 
     /** Eval forwards that skipped im2col keep their input for
      *  lastIm2col(). */

@@ -237,7 +237,8 @@ matrixToKernel(const Tensor &mat, const ConvGeometry &geom)
 }
 
 Tensor
-gemmOutputToActivation(const Tensor &y, const ConvGeometry &geom)
+gemmOutputToActivation(const Tensor &y, const ConvGeometry &geom,
+                       const float *bias)
 {
     const size_t pixels = geom.outHeight() * geom.outWidth();
     const size_t m = geom.outChannels;
@@ -247,9 +248,15 @@ gemmOutputToActivation(const Tensor &y, const ConvGeometry &geom)
     // Per image, the (pixels x M) GEMM rows transposed are the
     // (M x OH*OW) channel planes.
     Tensor act({geom.batch, m, geom.outHeight(), geom.outWidth()});
-    for (size_t b = 0; b < geom.batch; ++b)
-        simd::ops().transpose(y.data() + b * pixels * m, pixels, m,
-                              act.data() + b * m * pixels);
+    const simd::Ops &simd_ops = simd::ops();
+    for (size_t b = 0; b < geom.batch; ++b) {
+        const float *src = y.data() + b * pixels * m;
+        float *dst = act.data() + b * m * pixels;
+        if (bias)
+            simd_ops.transposeBias(src, pixels, m, bias, dst);
+        else
+            simd_ops.transpose(src, pixels, m, dst);
+    }
     return act;
 }
 

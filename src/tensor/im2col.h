@@ -112,9 +112,11 @@ Tensor matrixToKernel(const Tensor &mat, const ConvGeometry &geom);
 
 /**
  * Fold the N x M GEMM output back into the (B, M, OH, OW) activation
- * layout (rows are (b, oh, ow)-major as produced by im2col()).
+ * layout (rows are (b, oh, ow)-major as produced by im2col()). With
+ * @p bias (M floats), channel c gets y + bias[c] in the same pass.
  */
-Tensor gemmOutputToActivation(const Tensor &y, const ConvGeometry &geom);
+Tensor gemmOutputToActivation(const Tensor &y, const ConvGeometry &geom,
+                              const float *bias = nullptr);
 
 /** Inverse of gemmOutputToActivation (used by backprop). */
 Tensor activationToGemmOutput(const Tensor &act, const ConvGeometry &geom);

@@ -12,6 +12,7 @@
 #include <memory>
 #include <numeric>
 
+#include "common/simd.h"
 #include "core/guard.h"
 #include "core/measurement.h"
 #include "core/stream_context.h"
@@ -354,6 +355,64 @@ TEST(Network, PointwisePathKeepsLogitsBitIdentical)
             EXPECT_TRUE(sameBytes(fast, im2colLogits(net, x)))
                 << c.name << " batch=" << batch;
         }
+}
+
+/** FNV-1a over the bytes of @p t. */
+uint64_t
+bytesHash(const Tensor &t)
+{
+    uint64_t h = 1469598103934665603ull;
+    const auto *p = reinterpret_cast<const unsigned char *>(t.data());
+    for (size_t i = 0; i < t.size() * sizeof(float); ++i) {
+        h ^= p[i];
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+TEST(Network, EvalEpiloguesKeepLogitsBitIdentical)
+{
+    // ResNet-18's shortcut add and final ReLU, SqueezeNet's bypass add,
+    // eval BatchNorm and the conv bias epilogues run as dispatched
+    // kernels. The hashes were taken from the element loops those
+    // kernels replaced; every level must reproduce them, in eval and in
+    // training forwards.
+    struct Case
+    {
+        const char *name;
+        std::function<Network(Rng &)> make;
+        uint64_t eval[2], train[2]; //!< batch 1, batch 3
+    };
+    const Case kCases[] = {
+        {"resnet18",
+         [](Rng &r) { return makeResNet18(r, 10, 16); },
+         {0xa5136547d4e8edbdull, 0x985b1257cd3d83aeull},
+         {0xffa4e197ce550195ull, 0xe0b3360028d0cdf9ull}},
+        {"squeezenet-bypass",
+         [](Rng &r) { return makeSqueezeNet(r, true); },
+         {0x99774e39421229d8ull, 0x73382474e7b2d918ull},
+         {0x90669eb75cc4028aull, 0x7fa1271d680698c5ull}},
+    };
+    const simd::Level restore = simd::activeLevel();
+    for (simd::Level level : {simd::Level::Scalar, simd::detect()}) {
+        ASSERT_TRUE(simd::setActiveLevel(level).ok());
+        for (const Case &c : kCases)
+            for (size_t bi = 0; bi < 2; ++bi) {
+                const size_t batch = bi == 0 ? 1 : 3;
+                Rng rng(80 + batch);
+                Network net = c.make(rng);
+                const Tensor x =
+                    Tensor::randomNormal({batch, 3, 32, 32}, rng);
+                const std::string what = std::string(c.name) + " batch=" +
+                                         std::to_string(batch) + " " +
+                                         simd::levelName(level);
+                EXPECT_EQ(bytesHash(net.forward(x, false)), c.eval[bi])
+                    << what;
+                EXPECT_EQ(bytesHash(net.forward(x, true)), c.train[bi])
+                    << what;
+            }
+    }
+    ASSERT_TRUE(simd::setActiveLevel(restore).ok());
 }
 
 /**

@@ -3,10 +3,12 @@
  * Parity matrix for the runtime SIMD dispatch layer (common/simd.h):
  * every entry of the ops table — gemmF32, gemmInt8, addInto,
  * scaleInPlace, signProject, allFinite, relu, gatherSignatures,
- * clusterSums, maxPool2x2, transpose — is compared against the scalar
- * oracle
- * over ragged shapes (sizes that are not multiples of any vector
- * width), plus the dispatch plumbing itself: level parsing, explicit
+ * clusterSums, maxPool2x2, transpose, recoverRows, transposeBias,
+ * addChannelBias, batchNormEval — is compared against the scalar
+ * oracle over ragged shapes (sizes that are not multiples of any
+ * vector width), and the eval epilogue oracles against the element
+ * loops they replaced, plus the dispatch plumbing itself: level
+ * parsing, explicit
  * table selection, fallback for unavailable levels, and the
  * setActiveLevel() test hook. The eval max-pool's branch-free window
  * scan is checked against the training scan on the same special values
@@ -20,6 +22,7 @@
  * FMA contraction), kMaxUlps is the single knob to loosen.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -102,6 +105,10 @@ TEST(SimdDispatch, TablesAreComplete)
         EXPECT_NE(t.clusterSums, nullptr);
         EXPECT_NE(t.maxPool2x2, nullptr);
         EXPECT_NE(t.transpose, nullptr);
+        EXPECT_NE(t.recoverRows, nullptr);
+        EXPECT_NE(t.transposeBias, nullptr);
+        EXPECT_NE(t.addChannelBias, nullptr);
+        EXPECT_NE(t.batchNormEval, nullptr);
         if (!simd::available(lvl)) {
             // Unavailable levels fall back to the scalar oracle.
             EXPECT_EQ(t.level, simd::Level::Scalar);
@@ -382,10 +389,10 @@ TEST(SimdParity, SignProjectExactZeroBoundary)
     EXPECT_EQ(s0, s1);
 }
 
-/** Random values with NaN (both signs), +/-0, +/-Inf, +/-denormals
- *  and +/-FLT_MAX planted every few elements. */
+/** Random values with NaN (both signs, unless @p nan is false), +/-0,
+ *  +/-Inf, +/-denormals and +/-FLT_MAX planted every few elements. */
 std::vector<float>
-specialFloats(size_t n, Rng &rng)
+specialFloats(size_t n, Rng &rng, bool nan_values = true)
 {
     const float nan = std::numeric_limits<float>::quiet_NaN();
     const float inf = std::numeric_limits<float>::infinity();
@@ -394,9 +401,10 @@ specialFloats(size_t n, Rng &rng)
                               den,  -den, 3 * den, -5 * den,
                               std::numeric_limits<float>::max(),
                               -std::numeric_limits<float>::max()};
+    const size_t skip = nan_values ? 0 : 2; // the NaNs lead kSpecial
     std::vector<float> v = randomFloats(n, rng);
     for (size_t i = 0; i < n; i += 3)
-        v[i] = kSpecial[rng.uniformInt(std::size(kSpecial))];
+        v[i] = kSpecial[skip + rng.uniformInt(std::size(kSpecial) - skip)];
     return v;
 }
 
@@ -646,6 +654,211 @@ TEST(SimdParity, TransposeMatchesOracle)
         EXPECT_TRUE(ok) << rows << "x" << cols;
         EXPECT_TRUE(sameBits(d0, d1)) << rows << "x" << cols;
     }
+}
+
+// Widths and heights around every vector, 8 x 8 block and 64-float
+// chunk edge of the epilogue kernels. An add or multiply of two NaNs
+// may return either operand's payload (x86 returns the first source's,
+// and a compiler may commute the operands to fold a load), so no
+// operation in these tests sees two NaN operands: only one input of
+// each kernel carries NaNs, and the others carry every other special
+// value.
+const size_t kEpilogueDims[] = {1, 7, 8, 9, 63, 64, 65, 192, 256};
+
+TEST(SimdParity, GemmF32NarrowTile)
+{
+    // Every n below the 1x32 tile (the four-row tile's full vectors,
+    // the masked remainder, rows past the last multiple of four) across
+    // k-block edges, both ways of accumulate. Large terms that cancel
+    // (+L at p = 0, -L at p = k - 1, in different k-blocks once k >
+    // 256) make every partial sum order-sensitive, so a reassociated
+    // chain flips bits. Without accumulate C starts as NaN: the first
+    // k-block must overwrite it, and k = 0 must still zero it. The
+    // padding columns past n must stay untouched.
+    const simd::Ops &scalar = simd::opsFor(simd::Level::Scalar);
+    const simd::Ops &vec = simd::opsFor(simd::detect());
+    Rng rng(27);
+    const float big = 3.0e7f;
+    for (size_t k : {size_t(0), size_t(1), size_t(255), size_t(256),
+                     size_t(257), size_t(600)})
+        for (size_t m = 1; m <= 9; ++m)
+            for (size_t n = 1; n <= 31; ++n) {
+                const size_t ldc = n + 3;
+                std::vector<float> a = randomFloats(m * k, rng);
+                std::vector<float> b = randomFloats(k * n, rng);
+                if (k >= 2) {
+                    for (size_t i = 0; i < m; ++i) {
+                        a[i * k] = 1.0f;
+                        a[i * k + k - 1] = 1.0f;
+                    }
+                    for (size_t j = 0; j < n; ++j) {
+                        b[j] = big * static_cast<float>(j + 1);
+                        b[(k - 1) * n + j] = -big * static_cast<float>(j + 1);
+                    }
+                }
+                const std::vector<float> seed = randomFloats(m * ldc, rng);
+                for (bool accumulate : {false, true}) {
+                    std::vector<float> c0 = seed;
+                    if (!accumulate)
+                        for (size_t i = 0; i < m; ++i)
+                            std::fill(c0.begin() + i * ldc,
+                                      c0.begin() + i * ldc + n,
+                                      std::numeric_limits<float>::quiet_NaN());
+                    std::vector<float> c1 = c0;
+                    scalar.gemmF32(a.data(), b.data(), c0.data(), m, n, k,
+                                   k, n, ldc, accumulate);
+                    vec.gemmF32(a.data(), b.data(), c1.data(), m, n, k, k,
+                                n, ldc, accumulate);
+                    ASSERT_TRUE(sameBits(c0, c1))
+                        << "m=" << m << " n=" << n << " k=" << k
+                        << " acc=" << accumulate;
+                    for (size_t i = 0; i < m; ++i)
+                        for (size_t j = n; j < ldc; ++j)
+                            ASSERT_EQ(c1[i * ldc + j], seed[i * ldc + j]);
+                }
+            }
+}
+
+TEST(SimdParity, RecoverRowsMatchOracleAndSliceLoop)
+{
+    // Each output row is 0 + the rows its slices' assignments pick, in
+    // slice order: what zeroing the row and adding one slice at a time
+    // with addInto gave. Special values make any other order, a skipped
+    // +0 start (-0 + -0 stays -0; +0 + -0 is +0) or a lost NaN show;
+    // NaNs sit in slice 0 only.
+    const simd::Ops &scalar = simd::opsFor(simd::Level::Scalar);
+    const simd::Ops &vec = simd::opsFor(simd::detect());
+    Rng rng(28);
+    const size_t n = 5, nc = 3;
+    for (size_t m : kEpilogueDims)
+        for (size_t ns = 1; ns <= 67; ++ns) {
+            std::vector<float> yc = specialFloats(ns * nc * m, rng, false);
+            const std::vector<float> first = specialFloats(nc * m, rng);
+            std::copy(first.begin(), first.end(), yc.begin());
+            std::vector<const float *> slices(ns);
+            for (size_t k = 0; k < ns; ++k)
+                slices[k] = yc.data() + k * nc * m;
+            std::vector<uint32_t> ids(ns * n);
+            for (uint32_t &id : ids)
+                id = static_cast<uint32_t>(rng.uniformInt(nc));
+            std::vector<float> ref(n * m + 3, 7.0f);
+            for (size_t row = 0; row < n; ++row) {
+                float *yr = ref.data() + row * m;
+                std::fill(yr, yr + m, 0.0f);
+                for (size_t k = 0; k < ns; ++k)
+                    scalar.addInto(yr, slices[k] + ids[k * n + row] * m, m);
+            }
+            std::vector<float> y0(n * m + 3, 7.0f), y1 = y0;
+            scalar.recoverRows(slices.data(), ids.data(), ns, n, m,
+                               y0.data());
+            vec.recoverRows(slices.data(), ids.data(), ns, n, m, y1.data());
+            ASSERT_TRUE(sameBits(y0, ref)) << "m=" << m << " ns=" << ns;
+            ASSERT_TRUE(sameBits(y1, ref)) << "m=" << m << " ns=" << ns;
+        }
+}
+
+TEST(SimdParity, TransposeBiasMatchesAddThenTranspose)
+{
+    // The fused bias + fold against one addInto of the bias per row and
+    // then the transpose, on special values in both operands.
+    const simd::Ops &scalar = simd::opsFor(simd::Level::Scalar);
+    const simd::Ops &vec = simd::opsFor(simd::detect());
+    Rng rng(29);
+    for (size_t rows : kEpilogueDims)
+        for (size_t cols : kEpilogueDims) {
+            const std::vector<float> src = specialFloats(rows * cols, rng);
+            const std::vector<float> bias = specialFloats(cols, rng, false);
+            std::vector<float> biased = src;
+            for (size_t r = 0; r < rows; ++r)
+                scalar.addInto(biased.data() + r * cols, bias.data(), cols);
+            std::vector<float> ref(rows * cols);
+            scalar.transpose(biased.data(), rows, cols, ref.data());
+            std::vector<float> d0(rows * cols), d1(rows * cols);
+            scalar.transposeBias(src.data(), rows, cols, bias.data(),
+                                 d0.data());
+            vec.transposeBias(src.data(), rows, cols, bias.data(),
+                              d1.data());
+            ASSERT_TRUE(sameBits(d0, ref)) << rows << "x" << cols;
+            ASSERT_TRUE(sameBits(d1, ref)) << rows << "x" << cols;
+        }
+}
+
+TEST(SimdParity, AddChannelBiasMatchesPlaneLoop)
+{
+    const simd::Ops &scalar = simd::opsFor(simd::Level::Scalar);
+    const simd::Ops &vec = simd::opsFor(simd::detect());
+    Rng rng(30);
+    for (size_t batch : {size_t(1), size_t(3)})
+        for (size_t channels : {size_t(1), size_t(7), size_t(9)})
+            for (size_t hw : kEpilogueDims) {
+                const std::vector<float> x =
+                    specialFloats(batch * channels * hw, rng);
+                const std::vector<float> bias =
+                    specialFloats(channels, rng, false);
+                std::vector<float> ref = x;
+                for (size_t b = 0; b < batch; ++b)
+                    for (size_t c = 0; c < channels; ++c)
+                        for (size_t p = 0; p < hw; ++p)
+                            ref[(b * channels + c) * hw + p] += bias[c];
+                std::vector<float> y0 = x, y1 = x;
+                scalar.addChannelBias(y0.data(), bias.data(), batch,
+                                      channels, hw);
+                vec.addChannelBias(y1.data(), bias.data(), batch, channels,
+                                   hw);
+                ASSERT_TRUE(sameBits(y0, ref))
+                    << batch << "x" << channels << "x" << hw;
+                ASSERT_TRUE(sameBits(y1, ref))
+                    << batch << "x" << channels << "x" << hw;
+            }
+}
+
+TEST(SimdParity, BatchNormEvalMatchesElementLoop)
+{
+    // Special values in the input and in every per-channel statistic
+    // (NaNs in the input only); a zero variance with eps = 0 gives an
+    // infinite scale.
+    const simd::Ops &scalar = simd::opsFor(simd::Level::Scalar);
+    const simd::Ops &vec = simd::opsFor(simd::detect());
+    Rng rng(31);
+    for (float eps : {1e-5f, 0.0f})
+        for (size_t batch : {size_t(1), size_t(3)})
+            for (size_t channels : {size_t(1), size_t(7), size_t(9)})
+                for (size_t hw : kEpilogueDims) {
+                    const std::vector<float> x =
+                        specialFloats(batch * channels * hw, rng);
+                    const std::vector<float> mean =
+                        specialFloats(channels, rng, false);
+                    std::vector<float> var = randomFloats(channels, rng);
+                    for (float &v : var)
+                        v = std::fabs(v);
+                    var[0] = 0.0f;
+                    const std::vector<float> gamma =
+                        specialFloats(channels, rng, false);
+                    const std::vector<float> beta =
+                        specialFloats(channels, rng, false);
+                    std::vector<float> ref(x.size());
+                    for (size_t c = 0; c < channels; ++c) {
+                        const float is = 1.0f / std::sqrt(var[c] + eps);
+                        for (size_t b = 0; b < batch; ++b)
+                            for (size_t i = 0; i < hw; ++i) {
+                                const size_t e = (b * channels + c) * hw + i;
+                                const float xn = (x[e] - mean[c]) * is;
+                                ref[e] = gamma[c] * xn + beta[c];
+                            }
+                    }
+                    std::vector<float> y0(x.size()), y1(x.size());
+                    scalar.batchNormEval(x.data(), batch, channels, hw,
+                                         mean.data(), var.data(), eps,
+                                         gamma.data(), beta.data(),
+                                         y0.data());
+                    vec.batchNormEval(x.data(), batch, channels, hw,
+                                      mean.data(), var.data(), eps,
+                                      gamma.data(), beta.data(), y1.data());
+                    ASSERT_TRUE(sameBits(y0, ref))
+                        << batch << "x" << channels << "x" << hw;
+                    ASSERT_TRUE(sameBits(y1, ref))
+                        << batch << "x" << channels << "x" << hw;
+                }
 }
 
 TEST(SimdParity, EvalMaxPoolMatchesTrainingScanOnSpecialValues)

@@ -89,6 +89,61 @@ TEST(VerticalReuse, RowOuterRecoveryMatchesSliceAtATime)
     }
 }
 
+TEST(VerticalReuse, FallbackSliceAmongReuseSlicesKeepsTheRowLoop)
+{
+    // The third of five slice clusterings gets a corrupted table, so
+    // that slice falls back to exact GEMM and recovery keeps its row
+    // loop. Reference: that loop written out, per row in slice order —
+    // zero the row, add each reuse slice's centroid row, accumulate the
+    // fallback slice's one-row exact product.
+    Rng rng(34);
+    const size_t n = 70, din = 75, m = 65, bad = 2;
+    Tensor x = test::redundantRows(n, din, 6, rng, 0.05f);
+    Tensor w = Tensor::randomNormal({din, m}, rng);
+    VerticalSlicing s = VerticalSlicing::plan(din, 15, 1);
+    auto fams = randomVerticalFamilies(s, din, 4, rng);
+    ReuseStats stats;
+    faultpoint::disarm();
+    faultpoint::armEvent(faultpoint::Fault::CorruptClusterIds, 5, -1,
+                         bad + 1);
+    Tensor y = verticalReuseMultiply(x, w, s, fams, nullptr, &stats);
+    faultpoint::disarm();
+    // Four slices grouped their rows; the corrupted one did not.
+    ASSERT_EQ(stats.totalVectors, (s.numSlices - 1) * n);
+
+    std::vector<ClusterResult> clusters(s.numSlices);
+    std::vector<Tensor> yc(s.numSlices);
+    for (size_t k = 0; k < s.numSlices; ++k) {
+        if (k == bad)
+            continue;
+        const size_t col0 = k * s.sliceWidth, width = s.width(k, din);
+        StridedItems items{x.data() + col0, n, width, din, 1};
+        clusters[k] = clusterBySignature(items, fams[k]);
+        yc[k] = Tensor({clusters[k].numClusters(), m});
+        gemmRaw(clusters[k].centroids.data(), w.data() + col0 * m,
+                yc[k].data(), clusters[k].numClusters(), m, width, width, m,
+                m, false);
+    }
+    Tensor ref({n, m});
+    for (size_t row = 0; row < n; ++row) {
+        float *yr = ref.data() + row * m;
+        std::fill(yr, yr + m, 0.0f);
+        for (size_t k = 0; k < s.numSlices; ++k) {
+            const size_t col0 = k * s.sliceWidth, width = s.width(k, din);
+            if (k == bad) {
+                gemmRaw(x.data() + row * din + col0, w.data() + col0 * m,
+                        yr, 1, m, width, width, m, m, true);
+                continue;
+            }
+            const float *src =
+                yc[k].data() + clusters[k].assignments[row] * m;
+            for (size_t j = 0; j < m; ++j)
+                yr[j] += src[j];
+        }
+    }
+    EXPECT_TRUE(sameBytes(y, ref));
+}
+
 TEST(VerticalReuse, GatheredWeightRowsMatchPermutedWeights)
 {
     // A column-reordered pattern: x's column c pairs with w's row
