@@ -35,7 +35,6 @@
 #include "core/reuse_audit.h"
 #include "serve/loadgen.h"
 #include "serve/serve.h"
-#include "serve/slo.h"
 
 using namespace genreuse;
 using namespace genreuse::bench;
@@ -344,13 +343,12 @@ main(int argc, char **argv)
     }
 
     // --- Observed serving (PR 10) ---------------------------------------
-    // One more closed loop with the reuse-efficacy audit armed, the
-    // canary at rate 1.0 and an SLO monitor attached. The keys are
-    // deterministic: replicas are bit-identical, so each forward's
-    // redundancy ratio depends only on its input — the multiset of
-    // observed r_t values (and hence their mean) is scheduling-free,
-    // and a generous latency objective plus in-distribution inputs
-    // mean zero breaches and zero alerts by construction.
+    // One more closed loop with the reuse-efficacy audit armed and the
+    // canary at rate 1.0. The keys are deterministic: replicas are
+    // bit-identical, so each forward's redundancy ratio depends only on
+    // its input — the multiset of observed r_t values (and hence their
+    // mean) is scheduling-free, and in-distribution inputs mean zero
+    // breaches by construction.
     {
         audit::reset();
         audit::setEnabled(true);
@@ -362,10 +360,7 @@ main(int argc, char **argv)
         ocfg.policy = AdmitPolicy::Block;
         ocfg.name = "observed";
         ServeEngine eng(ocfg, factory);
-        SloMonitor slo(eng, defaultSloSpecs(/*p99_ms=*/1e6));
-        slo.tick();
         runClosedLoop(eng, requests, /*inflight=*/4, make_input);
-        slo.tick();
         eng.shutdown();
 
         uint64_t fwd = 0, breaches_total = 0;
@@ -378,22 +373,17 @@ main(int argc, char **argv)
         }
         const double rt_mean =
             fwd ? rt_sum / static_cast<double>(fwd) : 0.0;
-        uint64_t alerts = 0;
-        for (const SloState &s : slo.states())
-            alerts += s.transitions;
 
-        std::printf("--- Observed serving (audit + canary 1.0 + SLO "
-                    "monitor) ---\n"
+        std::printf("--- Observed serving (audit + canary 1.0) ---\n"
                     "guarded forwards %llu, observed r_t mean %.4f, "
                     "model gap max %.4f, canary %llu samples / %llu "
-                    "breaches, slo alerts %llu\n\n",
+                    "breaches\n\n",
                     static_cast<unsigned long long>(fwd), rt_mean,
                     gap_max,
                     static_cast<unsigned long long>(
                         audit::canarySamples()),
                     static_cast<unsigned long long>(
-                        audit::canaryBreaches()),
-                    static_cast<unsigned long long>(alerts));
+                        audit::canaryBreaches()));
         json.record("audit_forwards", static_cast<double>(fwd));
         json.record("audit_observed_rt_mean", rt_mean);
         json.record("audit_model_gap_max", gap_max);
@@ -401,7 +391,6 @@ main(int argc, char **argv)
                     static_cast<double>(audit::canarySamples()));
         json.record("canary_breaches",
                     static_cast<double>(audit::canaryBreaches()));
-        json.record("slo_alerts_fired", static_cast<double>(alerts));
         breaches_total = audit::canaryBreaches();
         GENREUSE_REQUIRE(breaches_total == 0,
                          "observed serving: unexpected canary breach "

@@ -23,7 +23,6 @@
 #include "common/profiler.h"
 #include "common/rtrace.h"
 #include "common/simd.h"
-#include "common/telemetry.h"
 #include "common/trace.h"
 #include "core/fc_reuse.h"
 #include "core/guard.h"
@@ -657,21 +656,6 @@ BM_RtraceGateDisabled(benchmark::State &state)
     }
 }
 BENCHMARK(BM_RtraceGateDisabled);
-
-void
-BM_TelemetryGateDisabled(benchmark::State &state)
-{
-    // telemetry::enabled() with no exporter running (the default):
-    // callers branching on it must pay one relaxed atomic load.
-    uint64_t acc = 0;
-    for (auto _ : state) {
-        if (telemetry::enabled())
-            acc += 100;
-        acc += 1;
-        benchmark::DoNotOptimize(acc);
-    }
-}
-BENCHMARK(BM_TelemetryGateDisabled);
 
 void
 BM_AuditGateDisabled(benchmark::State &state)

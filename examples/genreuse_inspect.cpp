@@ -21,25 +21,19 @@
  *                             traffic, guard budget burn, and the
  *                             accuracy canary's relative error vs the
  *                             exact path
- *   genreuse.slo/1            SLO burn-rate monitor state (rendered as
- *                             an alerts panel, also inside --follow)
  *   genreuse.bench/1          BENCH records (plus their embedded
  *                             guard/profile/metrics/events extras)
  *   genreuse.bench-suite/1    merged BENCH suites
  *   genreuse.rtrace/1         request traces (GENREUSE_RTRACE): top-K
  *                             slowest requests with per-span breakdown
  *                             (--slowest K, default 10)
- *   genreuse.tsdb/1           telemetry JSONL series
- *                             (GENREUSE_TELEMETRY): summary + final
- *                             dashboard, or a live tailing dashboard
- *                             with --follow
  *
  * With --baseline, BENCH results are compared against the baseline
  * suite/record and the top regressions are listed.
  *
  * Usage:
  *   genreuse_inspect [--baseline BENCH.json] [--last N] [--slowest K]
- *       [--follow [--ticks N]] file.json...
+ *       file.json...
  *
  * Typical flows:
  *   GENREUSE_FAULT=nan_activation ./build/examples/mcu_deploy
@@ -48,19 +42,16 @@
  *   ./build/examples/genreuse_inspect --baseline build/BENCH_pr4.json \
  *       build/BENCH_pr5.json
  *
- *   ./build/examples/genreuse_serve --telemetry serve.tsdb.jsonl &
- *   ./build/examples/genreuse_inspect --follow serve.tsdb.jsonl
+ *   ./build/examples/genreuse_serve --events ev.json --rtrace rt.json
+ *   ./build/examples/genreuse_inspect ev.json rt.json
  */
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/args.h"
@@ -495,7 +486,7 @@ renderHealth(const JsonValue &doc)
     std::printf("\n");
 }
 
-// ---- genreuse.audit/1 / genreuse.slo/1 -----------------------------------
+// ---- genreuse.audit/1 ---------------------------------------------------
 
 /** Audit slots fitted through the raw algo API carry no layer name;
  *  show "-" instead of an empty cell. */
@@ -587,41 +578,6 @@ renderAudit(const JsonValue &doc)
                         num(doc.find("occupancy"), "p99"));
 }
 
-void
-renderSlo(const JsonValue &doc)
-{
-    const JsonValue *alerts = doc.find("alerts");
-    const JsonValue *any = doc.find("any_firing");
-    const bool firing = any != nullptr && any->isBool() && any->boolean;
-    std::printf("  SLOs (%zu objectives, tick %.0f): %s\n",
-                alerts != nullptr && alerts->isArray()
-                    ? alerts->items.size()
-                    : 0,
-                num(&doc, "ticks"), firing ? "ALERT FIRING" : "all ok");
-    if (alerts == nullptr || !alerts->isArray() || alerts->items.empty())
-        return;
-    TextTable t;
-    t.setHeader({"objective", "kind", "state", "fast burn", "slow burn",
-                 "fires at", "fast bad/total", "slow bad/total",
-                 "edges"});
-    for (const JsonValue &a : alerts->items) {
-        const JsonValue *f = a.find("firing");
-        const bool is_firing = f != nullptr && f->isBool() && f->boolean;
-        t.addRow({str(&a, "name", "?"), str(&a, "kind", "?"),
-                  is_firing ? "FIRING" : "ok",
-                  fmt("%.2fx", num(&a, "fast_burn")),
-                  fmt("%.2fx", num(&a, "slow_burn")),
-                  fmt("%.0fx/", num(&a, "fast_burn_threshold")) +
-                      fmt("%.0fx", num(&a, "slow_burn_threshold")),
-                  fmt("%.0f/", num(&a, "fast_bad")) +
-                      fmt("%.0f", num(&a, "fast_total")),
-                  fmt("%.0f/", num(&a, "slow_bad")) +
-                      fmt("%.0f", num(&a, "slow_total")),
-                  fmt("%.0f", num(&a, "transitions"))});
-    }
-    std::printf("%s", t.render().c_str());
-}
-
 // ---- genreuse.rtrace/1 ---------------------------------------------------
 
 /** Top-K slowest requests with the per-span breakdown — the postmortem
@@ -710,242 +666,6 @@ renderRtrace(const JsonValue &doc, size_t slowest_k)
                                           GuardRung::ExactFallback))))});
     }
     std::printf("%s\n", t.render().c_str());
-}
-
-// ---- genreuse.tsdb/1 (telemetry JSONL) -----------------------------------
-
-/** Reads a JSONL telemetry series: one parsed document per non-empty
- *  line, skipping (and counting) malformed ones — a live exporter may
- *  be mid-write on the final line. */
-std::vector<JsonValue>
-readTsdbLines(const std::string &path, size_t *malformed = nullptr)
-{
-    std::vector<JsonValue> out;
-    std::ifstream in(path);
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        Expected<JsonValue> parsed = parseJson(line);
-        if (parsed.ok())
-            out.push_back(std::move(*parsed));
-        else if (malformed != nullptr)
-            ++(*malformed);
-    }
-    return out;
-}
-
-/** True when @p path starts with a genreuse.tsdb/1 line — the JSONL
- *  schema that must NOT go through whole-file parseJsonFile. */
-bool
-isTsdbFile(const std::string &path)
-{
-    std::ifstream in(path);
-    std::string line;
-    if (!std::getline(in, line))
-        return false;
-    return line.find("\"schema\":\"genreuse.tsdb/1\"") !=
-           std::string::npos;
-}
-
-/** "+12.3/s" from a counter delta between consecutive samples ("" when
- *  no previous sample or no time elapsed). */
-std::string
-rateCell(const JsonValue *prev, const char *group, const std::string &key,
-         double cur, double dt_s)
-{
-    if (prev == nullptr || dt_s <= 0.0)
-        return "";
-    // Empty group = the key lives directly on @p prev (source objects
-    // are flat; the metrics block nests counters/gauges).
-    const JsonValue *g =
-        (group == nullptr || *group == '\0') ? prev : prev->find(group);
-    const double before = g != nullptr ? num(g, key.c_str()) : 0.0;
-    // A counter that went backwards is an exporter restart (counters
-    // reset to 0, the series file keeps appending): render the tick as
-    // 0/s, not as a huge negative rate.
-    const double delta = cur >= before ? cur - before : 0.0;
-    return " (" + fmt("%+.1f", delta / dt_s) + "/s)";
-}
-
-/** One telemetry sample as a dashboard. @p prev (may be null) supplies
- *  counter deltas for rates; both are full genreuse.tsdb/1 lines. */
-void
-renderTsdbSample(const JsonValue *prev, const JsonValue &cur)
-{
-    const double dt_s =
-        prev != nullptr
-            ? (num(&cur, "tsNs") - num(prev, "tsNs")) / 1e9
-            : 0.0;
-    std::printf("sample seq=%.0f", num(&cur, "seq"));
-    const std::string reason = str(&cur, "reason");
-    if (!reason.empty())
-        std::printf(" (%s)", reason.c_str());
-    if (dt_s > 0.0)
-        std::printf("  +%.2fs since previous", dt_s);
-    std::printf("\n");
-
-    // Registered sources: the serve engine's source is recognized by
-    // its "health" key and rendered as an operator dashboard; anything
-    // else gets a generic numeric dump.
-    const JsonValue *srcs = cur.find("sources");
-    const JsonValue *prev_srcs =
-        prev != nullptr ? prev->find("sources") : nullptr;
-    if (srcs != nullptr && srcs->isObject()) {
-        for (const auto &[name, src] : srcs->members) {
-            const JsonValue *psrc =
-                prev_srcs != nullptr ? prev_srcs->find(name.c_str())
-                                     : nullptr;
-            // Sources that publish a known schema get their dedicated
-            // panel — this is how the SLO alerts panel and the audit
-            // table appear on the --follow dashboard.
-            const std::string sschema = str(&src, "schema");
-            if (sschema == "genreuse.slo/1") {
-                renderSlo(src);
-                continue;
-            }
-            if (sschema == "genreuse.audit/1") {
-                renderAudit(src);
-                continue;
-            }
-            if (src.find("health") != nullptr) {
-                std::printf("  serve '%s': %s", name.c_str(),
-                            str(&src, "health", "?").c_str());
-                if (num(&src, "overloadLevel") > 0.0)
-                    std::printf(" (overload level %.0f)",
-                                num(&src, "overloadLevel"));
-                std::printf(" | queue %.0f/%.0f, inflight %.0f, "
-                            "workers %.0f\n",
-                            num(&src, "queueDepth"),
-                            num(&src, "queueCapacity"),
-                            num(&src, "inflight"),
-                            num(&src, "workers"));
-                std::printf("    latency p50 %.2fms p95 %.2fms p99 "
-                            "%.2fms p99.9 %.2fms | queue-wait p95 "
-                            "%.2fms, service p95 %.2fms\n",
-                            num(&src, "p50Ms"), num(&src, "p95Ms"),
-                            num(&src, "p99Ms"), num(&src, "p999Ms"),
-                            num(&src, "queueWaitP95Ms"),
-                            num(&src, "serviceP95Ms"));
-                std::printf("    accepted %.0f%s, completed %.0f%s, "
-                            "rejected %.0f, shed %.0f, failed %.0f\n",
-                            num(&src, "accepted"),
-                            rateCell(psrc, "", "accepted",
-                                     num(&src, "accepted"), dt_s)
-                                .c_str(),
-                            num(&src, "completed"),
-                            rateCell(psrc, "", "completed",
-                                     num(&src, "completed"), dt_s)
-                                .c_str(),
-                            num(&src, "rejected"), num(&src, "shed"),
-                            num(&src, "failed"));
-                const JsonValue *streams = src.find("streams");
-                if (streams != nullptr && streams->isArray()) {
-                    std::printf("    streams:");
-                    for (const JsonValue &s : streams->items) {
-                        const JsonValue *parked = s.find("parked");
-                        std::printf(" s%.0f[strikes=%.0f%s]",
-                                    num(&s, "id"), num(&s, "strikes"),
-                                    parked != nullptr &&
-                                            parked->isBool() &&
-                                            parked->boolean
-                                        ? " PARKED"
-                                        : "");
-                    }
-                    std::printf("\n");
-                }
-            } else {
-                std::printf("  source '%s':", name.c_str());
-                for (const auto &[k, v] : src.members)
-                    if (v.isNumber())
-                        std::printf(" %s=%.6g", k.c_str(), v.number);
-                std::printf("\n");
-            }
-        }
-    }
-
-    const JsonValue *metrics = cur.find("metrics");
-    if (metrics == nullptr)
-        return;
-    const JsonValue *prev_metrics =
-        prev != nullptr ? prev->find("metrics") : nullptr;
-    const JsonValue *counters = metrics->find("counters");
-    if (counters != nullptr && counters->isObject() &&
-        !counters->members.empty()) {
-        std::printf("  counters:\n");
-        for (const auto &[k, v] : counters->members)
-            std::printf("    %-36s %.6g%s\n", k.c_str(),
-                        v.numberOr(0.0),
-                        rateCell(prev_metrics, "counters", k,
-                                 v.numberOr(0.0), dt_s)
-                            .c_str());
-    }
-    const JsonValue *gauges = metrics->find("gauges");
-    if (gauges != nullptr && gauges->isObject() &&
-        !gauges->members.empty()) {
-        std::printf("  gauges:\n");
-        for (const auto &[k, v] : gauges->members)
-            std::printf("    %-36s %.6g\n", k.c_str(), v.numberOr(0.0));
-    }
-}
-
-void
-renderTsdb(const std::string &path)
-{
-    size_t malformed = 0;
-    const std::vector<JsonValue> lines = readTsdbLines(path, &malformed);
-    if (lines.empty()) {
-        std::printf("telemetry series: empty\n\n");
-        return;
-    }
-    const double span_s =
-        (num(&lines.back(), "tsNs") - num(&lines.front(), "tsNs")) / 1e9;
-    std::printf("telemetry series: %zu samples over %.2fs",
-                lines.size(), span_s);
-    if (malformed > 0)
-        std::printf(" (%zu malformed lines skipped)", malformed);
-    std::printf("\nfinal ");
-    renderTsdbSample(lines.size() >= 2 ? &lines[lines.size() - 2]
-                                       : nullptr,
-                     lines.back());
-    std::printf("\n");
-}
-
-/** --follow: poll the JSONL series and redraw a dashboard of the
- *  newest sample (rates vs the one before it) every ~500ms. @p ticks
- *  bounds the redraw count (0 = until killed). */
-int
-followTsdb(const std::string &path, size_t ticks)
-{
-    size_t tick = 0;
-    while (ticks == 0 || tick < ticks) {
-        size_t malformed = 0;
-        const std::vector<JsonValue> lines =
-            readTsdbLines(path, &malformed);
-        // ANSI clear + home; plain redraw otherwise so piped output
-        // stays readable.
-        std::printf("\033[H\033[2J");
-        std::printf("== genreuse_inspect --follow %s (tick %zu%s) ==\n",
-                    path.c_str(), tick + 1,
-                    ticks > 0 ? ("/" + fmt("%.0f",
-                                           static_cast<double>(ticks)))
-                                    .c_str()
-                              : "");
-        if (lines.empty()) {
-            std::printf("(waiting for first sample...)\n");
-        } else {
-            renderTsdbSample(lines.size() >= 2
-                                 ? &lines[lines.size() - 2]
-                                 : nullptr,
-                             lines.back());
-        }
-        std::fflush(stdout);
-        ++tick;
-        if (ticks == 0 || tick < ticks)
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(500));
-    }
-    return 0;
 }
 
 // ---- genreuse.bench/1 (+ suites, + baseline diff) ------------------------
@@ -1077,32 +797,13 @@ main(int argc, char **argv)
 {
     ArgParser args(argc, argv);
 
-    // --follow takes the series path as its value ("--follow x.jsonl")
-    // or as a positional ("--follow --ticks 3 x.jsonl"); handle it
-    // before the positional-args gate.
-    if (args.has("follow")) {
-        std::string follow_path = args.getString("follow");
-        if (follow_path.empty() && !args.positional().empty())
-            follow_path = args.positional().front();
-        if (follow_path.empty()) {
-            std::fprintf(stderr, "genreuse_inspect: --follow needs a "
-                                 "genreuse.tsdb/1 JSONL path\n");
-            return 2;
-        }
-        return followTsdb(follow_path,
-                          static_cast<size_t>(std::max(
-                              0L, args.getInt("ticks", 0))));
-    }
-
     if (args.positional().empty()) {
         std::fprintf(stderr,
                      "usage: %s [--baseline BENCH.json] [--last N] "
-                     "[--slowest K] [--follow [--ticks N]] "
-                     "file.json...\n"
+                     "[--slowest K] file.json...\n"
                      "renders genreuse events/prof/trace/guard/metrics/"
-                     "bench/rtrace/tsdb artifacts as one report;\n"
-                     "--follow tails a genreuse.tsdb/1 JSONL series as "
-                     "a live dashboard (--ticks bounds redraws)\n",
+                     "health/audit/bench/rtrace artifacts as one "
+                     "report\n",
                      args.program().c_str());
         return 2;
     }
@@ -1135,14 +836,6 @@ main(int argc, char **argv)
     std::vector<Regression> regressions;
     int rc = 0;
     for (const std::string &path : args.positional()) {
-        // Telemetry series are JSONL — whole-file parsing would choke
-        // on the second line, so sniff the first line and route.
-        if (isTsdbFile(path)) {
-            std::printf("==== %s [genreuse.tsdb/1] ====\n",
-                        path.c_str());
-            renderTsdb(path);
-            continue;
-        }
         Expected<JsonValue> parsed = parseJsonFile(path);
         if (!parsed.ok()) {
             std::fprintf(stderr, "genreuse_inspect: %s\n",
@@ -1171,9 +864,6 @@ main(int argc, char **argv)
             renderHealth(doc);
         } else if (schema == "genreuse.audit/1") {
             renderAudit(doc);
-            std::printf("\n");
-        } else if (schema == "genreuse.slo/1") {
-            renderSlo(doc);
             std::printf("\n");
         } else if (schema == "genreuse.rtrace/1") {
             renderRtrace(doc, slowest_k);

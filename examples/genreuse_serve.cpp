@@ -11,32 +11,25 @@
  *            [--poisson] [--events out.events.json]
  *            [--deadline 50ms] [--overload-delay 20ms]
  *            [--health out.health.json]
- *            [--telemetry out.tsdb.jsonl[:interval]]
  *            [--rtrace out.rtrace.json[:rate]]
- *            [--canary 0.05] [--slo 20ms[:interval]] [--audit]
+ *            [--canary 0.05] [--audit]
  *
- * --telemetry streams genreuse.tsdb/1 JSONL samples while the run is
- * live (tail with `genreuse_inspect --follow`); --rtrace records
- * per-request span decompositions and writes a genreuse.rtrace/1
- * artifact (slowest-request table via genreuse_inspect, Chrome trace
- * events via chrome://tracing). Both mirror the GENREUSE_TELEMETRY /
- * GENREUSE_RTRACE env hooks.
+ * --rtrace records per-request span decompositions (admission, queue
+ * wait, forward, verification) and writes a genreuse.rtrace/1 artifact
+ * (slowest-request table via genreuse_inspect, Chrome trace events via
+ * chrome://tracing); it mirrors the GENREUSE_RTRACE env hook.
  *
  * --canary R samples a fraction R of guarded forwards onto the exact
  * path and tracks the true relative error per layer (mirrors
  * GENREUSE_CANARY); --audit arms the reuse-efficacy audit (mirrors
- * GENREUSE_AUDIT); --slo P99MS runs the burn-rate monitor with the
- * default objective set (p99 latency at P99MS, shed/fail availability,
- * canary accuracy floor), holding health Degraded while any alert
- * fires. All three publish telemetry sources, so their panels appear
- * on the --follow dashboard.
+ * GENREUSE_AUDIT).
  *
  * Each worker owns one stream: a guarded reuse convolution fitted
  * with the same seed, so all streams are bit-identical replicas and
  * any divergence between them is a bug (or an injected fault — try
  * GENREUSE_FAULT=nan_activation@2 to trip only stream 2's ladder).
  * --events dumps the event journal; each event carries its stream id,
- * and `genreuse_inspect --events` can demux the interleaved log.
+ * and `genreuse_inspect out.events.json` demuxes the interleaved log.
  */
 
 #include <cstdio>
@@ -49,14 +42,12 @@
 #include "common/eventlog.h"
 #include "common/metrics.h"
 #include "common/rtrace.h"
-#include "common/telemetry.h"
 #include "core/guard.h"
 #include "core/reuse_audit.h"
 #include "data/synthetic.h"
 #include "nn/conv2d.h"
 #include "serve/loadgen.h"
 #include "serve/serve.h"
-#include "serve/slo.h"
 
 using namespace genreuse;
 using namespace genreuse::serve;
@@ -133,19 +124,6 @@ main(int argc, char **argv)
     if (!events_path.empty())
         eventlog::setEnabled(true);
 
-    // Live telemetry: start the exporter before the engine exists so
-    // the series brackets its whole lifetime (the engine registers its
-    // source at construction).
-    const std::string telemetry_spec = args.getString("telemetry");
-    if (!telemetry_spec.empty()) {
-        Status s = telemetry::startFromSpec(telemetry_spec);
-        if (!s.ok()) {
-            std::fprintf(stderr, "--telemetry: %s\n",
-                         s.message().c_str());
-            return 2;
-        }
-    }
-
     // Request tracing: "<path>[:rate]", same grammar as GENREUSE_RTRACE.
     std::string rtrace_path = args.getString("rtrace");
     uint64_t rtrace_rate = 1;
@@ -167,8 +145,7 @@ main(int argc, char **argv)
     }
 
     // Observability arms — set BEFORE the engine exists so the very
-    // first fitted stream is audited/canaried, and their telemetry
-    // sources are live when the exporter writes its start line.
+    // first fitted stream is audited/canaried.
     const double canary_rate = args.getDouble("canary", 0.0);
     if (canary_rate > 0.0)
         audit::setCanaryRate(canary_rate);
@@ -187,18 +164,6 @@ main(int argc, char **argv)
     ServeEngine engine(cfg, [&data](uint32_t stream_id) {
         return std::make_unique<GuardedConvStream>(stream_id, data);
     });
-
-    // SLO burn-rate monitor: --slo gives the p99 latency objective,
-    // the rest of the default set (shed/fail availability, canary
-    // accuracy) rides along. While any alert fires the engine reports
-    // Degraded.
-    std::unique_ptr<SloMonitor> slo;
-    const uint64_t slo_p99_ns = args.getDurationNs("slo", 0);
-    if (slo_p99_ns > 0) {
-        slo = std::make_unique<SloMonitor>(
-            engine, defaultSloSpecs(static_cast<double>(slo_p99_ns) / 1e6));
-        slo->start(args.getDurationNs("slo-interval", 200'000'000));
-    }
 
     LatencyReport rep = runOpenLoop(engine, lg, [&data](size_t i) {
         return data.gatherImages({i % data.size()});
@@ -224,21 +189,6 @@ main(int argc, char **argv)
                     rungName(engine.stream(i).lastRung()));
     }
 
-    if (slo != nullptr) {
-        // One last deterministic evaluation, then the final state.
-        slo->stop();
-        slo->tick();
-        std::printf("\nSLOs after %llu ticks:\n",
-                    static_cast<unsigned long long>(slo->ticks()));
-        for (const SloState &st : slo->states())
-            std::printf("  %-20s %-8s fast %.2fx slow %.2fx "
-                        "(%llu edges, %llu ticks firing)\n",
-                        st.spec.name.c_str(),
-                        st.firing ? "FIRING" : "ok", st.fastBurnRate,
-                        st.slowBurnRate,
-                        static_cast<unsigned long long>(st.transitions),
-                        static_cast<unsigned long long>(st.ticksFiring));
-    }
     if (canary_rate > 0.0)
         std::printf("canary: %llu samples, %llu budget breaches\n",
                     static_cast<unsigned long long>(
@@ -282,14 +232,6 @@ main(int argc, char **argv)
                 "%.2f ms  p99 %.2f ms  p99.9 %.2f ms\n",
                 st.p50Ms, st.p95Ms, st.p99Ms, st.p999Ms);
 
-    if (!telemetry_spec.empty()) {
-        // path() (spec minus any :interval suffix) goes away at stop().
-        const std::string tsdb_path = telemetry::path();
-        telemetry::stop(); // final shutdown-flush line, then close
-        std::printf("telemetry series -> %s (live view: "
-                    "genreuse_inspect --follow %s)\n",
-                    tsdb_path.c_str(), tsdb_path.c_str());
-    }
     if (!rtrace_path.empty()) {
         // Write now (and disarm the exit hook) so the artifact exists
         // before the final message points at it.
@@ -304,7 +246,7 @@ main(int argc, char **argv)
     if (!events_path.empty()) {
         eventlog::writeJson(events_path, "genreuse_serve");
         std::printf("event journal -> %s (stream-tagged; demux with "
-                    "genreuse_inspect --events %s)\n",
+                    "genreuse_inspect %s)\n",
                     events_path.c_str(), events_path.c_str());
     }
     return 0;

@@ -58,8 +58,6 @@ typeName(Type t)
         return "canary_sample";
       case Type::CanaryBreach:
         return "canary_breach";
-      case Type::SloAlert:
-        return "slo_alert";
       default:
         return "?";
     }

@@ -69,9 +69,6 @@
  *                  measurement exceeds the budget, a8 = overload level
  *                  at the breach (2 ⇒ the guard was not verifying and
  *                  the canary was the only accuracy signal)
- *   SloAlert       tag = SLO name, d0 = fast-window burn rate, d1 =
- *                  slow-window burn rate, d2 = threshold, a8 = 1 when
- *                  the alert fired / 0 when it cleared
  *
  * The tag field is an interned string id — usually the enclosing
  * layer's name, established by the LayerScope RAII in Layer forwards
@@ -117,7 +114,6 @@ enum class Type : uint8_t
     Health,        //!< the serve engine's health state moved
     CanarySample,  //!< one shadow-exact accuracy canary measurement
     CanaryBreach,  //!< a canary measurement exceeded the error budget
-    SloAlert,      //!< an SLO burn-rate rule fired (or cleared)
     NumTypes,
 };
 

@@ -297,94 +297,4 @@ HdrHistogram::Snapshot::valueAtPercentile(double p) const
     return max;
 }
 
-uint64_t
-HdrHistogram::Snapshot::countAbove(uint64_t value) const
-{
-    if (counts.empty())
-        return overflow;
-    uint64_t above = 0;
-    bool top_counted = false;
-    for (size_t i = 0; i < counts.size(); ++i) {
-        if (counts[i] == 0)
-            continue;
-        // A bucket counts as above only when every value it can hold
-        // is above the threshold — the conservative (under-counting)
-        // side, matching how percentile midpoints resolve.
-        if (lowerBoundFor(subBits, i) > value) {
-            above += counts[i];
-            if (i == counts.size() - 1)
-                top_counted = true;
-        }
-    }
-    // Overflowed records clamp into the top bucket, so when that
-    // bucket qualified they are already counted; otherwise add them
-    // here — they exceed the whole trackable range, hence any in-range
-    // threshold.
-    if (!top_counted)
-        above += overflow;
-    return above;
-}
-
-HdrHistogram::Snapshot
-HdrHistogram::Snapshot::deltaSince(const Snapshot &prev) const
-{
-    Snapshot d;
-    d.subBits = subBits;
-    d.maxBits = maxBits;
-    d.counts.assign(counts.size(), 0);
-    if (prev.counts.empty() || prev.count == 0) {
-        // Empty / default-constructed baseline: the window is
-        // everything this snapshot holds.
-        d.counts = counts;
-        d.count = count;
-        d.sum = sum;
-        d.overflow = overflow;
-        d.min = min;
-        d.max = max;
-        return d;
-    }
-    GENREUSE_REQUIRE(prev.subBits == subBits && prev.maxBits == maxBits &&
-                         prev.counts.size() == counts.size(),
-                     "hdrhist snapshot delta requires identical geometry");
-    if (prev.count > count) {
-        // The histogram was reset (or prev is from a different run):
-        // treat the baseline as empty rather than underflowing.
-        d.counts = counts;
-        d.count = count;
-        d.sum = sum;
-        d.overflow = overflow;
-        d.min = min;
-        d.max = max;
-        return d;
-    }
-    size_t first = counts.size(), last = 0;
-    for (size_t i = 0; i < counts.size(); ++i) {
-        const uint64_t c =
-            counts[i] >= prev.counts[i] ? counts[i] - prev.counts[i] : 0;
-        d.counts[i] = c;
-        if (c > 0) {
-            first = std::min(first, i);
-            last = std::max(last, i);
-        }
-    }
-    d.count = count - prev.count;
-    d.sum = sum >= prev.sum ? sum - prev.sum : 0;
-    d.overflow = overflow >= prev.overflow ? overflow - prev.overflow : 0;
-    // Exact extremes are not attributable to a window; the bucket
-    // bounds of the window's occupied range are the honest substitute
-    // (within one bucket width, same as the percentile contract).
-    if (first <= last && d.count > 0) {
-        d.min = lowerBoundFor(subBits, first);
-        d.max = upperBoundFor(subBits, last);
-        // The live extremes still clamp when they fall inside the
-        // window's bucket range — min can only have been set by a
-        // recorded value.
-        if (min >= d.min && min <= d.max)
-            d.min = std::max(d.min, min);
-        if (max >= d.min && max <= d.max)
-            d.max = std::min(d.max, max);
-    }
-    return d;
-}
-
 } // namespace genreuse

@@ -103,11 +103,8 @@ class HdrHistogram
     /**
      * A point-in-time copy of the histogram: a plain value type the
      * caller owns, with the same geometry and query surface as the
-     * live histogram. Snapshots exist for *windowed* percentiles: the
-     * live histogram is cumulative-since-start, so a sliding-window
-     * consumer (the SLO monitor, `--follow` rate panels) takes a
-     * snapshot per tick and queries the delta between consecutive
-     * snapshots instead of the whole history.
+     * live histogram, so a consumer can query it without racing
+     * concurrent record() calls.
      */
     struct Snapshot
     {
@@ -126,27 +123,6 @@ class HdrHistogram
         /** Same rank definition and bucket math as the live
          *  histogram's valueAtPercentile (0 when empty). */
         uint64_t valueAtPercentile(double p) const;
-
-        /** Recorded values strictly above @p value (bucket-resolution:
-         *  a bucket counts only when its whole range is above, so the
-         *  result errs low by at most one straddling bucket). The SLO
-         *  monitor's "bad event" counter for latency objectives. */
-        uint64_t countAbove(uint64_t value) const;
-
-        /**
-         * The window between @p prev and this snapshot: per-bucket
-         * count subtraction (exact — merging is bucket addition, so
-         * subtraction is its inverse). min/max of the window are
-         * re-derived from the surviving buckets' bounds (the recorded
-         * extremes cannot be attributed to a window), clamped into
-         * [prev-consistent range]. When @p prev is from a *later* or
-         * reset histogram (its total exceeds ours) the delta degrades
-         * to this whole snapshot instead of underflowing — the same
-         * counter-reset tolerance the inspector applies to counters.
-         * Geometry must match (REQUIRE panic otherwise); a
-         * default-constructed (bucketless) @p prev acts as empty.
-         */
-        Snapshot deltaSince(const Snapshot &prev) const;
     };
 
     /** Relaxed-atomic copy of the current state. Safe against

@@ -48,8 +48,6 @@ JsonWriter::escape(const std::string &s)
 void
 JsonWriter::newlineIndent()
 {
-    if (compact_)
-        return;
     out_ << '\n';
     for (size_t i = 0; i < hasItems_.size(); ++i)
         out_ << "  ";
@@ -121,7 +119,7 @@ JsonWriter::key(const std::string &k)
         out_ << ',';
     hasItems_.back() = true;
     newlineIndent();
-    out_ << '"' << escape(k) << (compact_ ? "\":" : "\": ");
+    out_ << '"' << escape(k) << "\": ";
     pendingKey_ = true;
     return *this;
 }
@@ -183,10 +181,6 @@ JsonWriter::raw(const std::string &json)
 {
     GENREUSE_REQUIRE(!json.empty(), "raw() with empty JSON");
     prepareValue();
-    if (compact_) {
-        out_ << json;
-        return *this;
-    }
     // Re-indent the sub-document's continuation lines to this nesting
     // depth so spliced documents diff like natively-written ones.
     std::string indent;

@@ -33,12 +33,6 @@ namespace genreuse {
 class JsonWriter
 {
   public:
-    JsonWriter() = default;
-
-    /** @p compact drops all whitespace — one-line documents for JSONL
-     *  streams (the telemetry exporter's genreuse.tsdb/1 lines). */
-    explicit JsonWriter(bool compact) : compact_(compact) {}
-
     JsonWriter &beginObject();
     JsonWriter &endObject();
     JsonWriter &beginArray();
@@ -71,7 +65,6 @@ class JsonWriter
     std::ostringstream out_;
     std::vector<bool> hasItems_; //!< per open scope: any member yet?
     bool pendingKey_ = false;
-    bool compact_ = false;
 };
 
 /**

@@ -44,9 +44,9 @@ simdLevel()
 }
 
 std::string
-toJson(bool compact)
+toJson()
 {
-    JsonWriter w(compact);
+    JsonWriter w;
     w.beginObject();
     w.key("schema").value("genreuse.provenance/1");
     w.key("git").value(gitDescribe());

@@ -1,13 +1,12 @@
 /**
  * @file
  * Build provenance: which code, compiler, and kernel configuration
- * produced an artifact. Bench records and telemetry series outlive the
- * working tree that made them, and "5% regression" is meaningless when
- * the two records came from different commits, compilers, or SIMD
- * levels — the usual way that happens is silently, by diffing a stale
- * baseline. Every BENCH_*.json and the first line of every telemetry
- * series therefore carries a provenance object, and bench_diff warns
- * when the two sides' provenance disagrees.
+ * produced an artifact. Bench records outlive the working tree that
+ * made them, and "5% regression" is meaningless when the two records
+ * came from different commits, compilers, or SIMD levels — the usual
+ * way that happens is silently, by diffing a stale baseline. Every
+ * BENCH_*.json therefore carries a provenance object, and bench_diff
+ * warns when the two sides' provenance disagrees.
  *
  * The git describe / compiler / preset strings are burned in at
  * configure time (scoped to one TU so a new commit rebuilds one file,
@@ -41,7 +40,7 @@ const char *buildPreset();
 const char *simdLevel();
 
 /** The genreuse.provenance/1 object with all four fields. */
-std::string toJson(bool compact = false);
+std::string toJson();
 
 } // namespace provenance
 } // namespace genreuse

@@ -13,7 +13,6 @@
 #include "common/metrics.h"
 #include "common/overload.h"
 #include "common/streamtag.h"
-#include "common/telemetry.h"
 
 namespace genreuse {
 namespace audit {
@@ -113,26 +112,6 @@ slotLocked(Registry &r, uint64_t owner, uint16_t stream)
         }
     }
     return e.data;
-}
-
-/** Keeps the "audit" telemetry source registered exactly while the
- *  audit or the canary is armed. Serialized by its own mutex, never
- *  the registry's: the exporter holds its lock while a sample renders,
- *  and rendering takes the registry's. */
-void
-syncTelemetry()
-{
-    static std::mutex mu;
-    static uint64_t token = 0;
-    std::lock_guard<std::mutex> lock(mu);
-    const bool armed = g_enabled.load(std::memory_order_relaxed) ||
-                       g_canary_rate_bits.load(std::memory_order_relaxed);
-    if (armed && token == 0) {
-        token = telemetry::registerSource("audit", telemetryJson);
-    } else if (!armed && token != 0) {
-        telemetry::unregisterSource(token);
-        token = 0;
-    }
 }
 
 /** Arms before main(): the audit when GENREUSE_AUDIT is a truthy value
@@ -319,7 +298,6 @@ void
 setEnabled(bool on)
 {
     detail::g_enabled.store(on, std::memory_order_relaxed);
-    detail::syncTelemetry();
 }
 
 double
@@ -343,7 +321,6 @@ setCanaryRate(double r)
     if (r > 0.0)
         std::memcpy(&bits, &r, sizeof(bits));
     detail::g_canary_rate_bits.store(bits, std::memory_order_relaxed);
-    detail::syncTelemetry();
 }
 
 void
@@ -514,11 +491,13 @@ writeHist(JsonWriter &w, const HdrHistogram::Snapshot &h)
     w.endObject();
 }
 
+} // namespace
+
 std::string
-render(bool compact)
+toJson()
 {
     Snapshot s = snapshot();
-    JsonWriter w(compact);
+    JsonWriter w;
     w.beginObject();
     w.key("schema").value("genreuse.audit/1");
     w.key("enabled").value(enabled());
@@ -540,31 +519,17 @@ render(bool compact)
     w.endObject();
     w.key("clusterings").value(s.clusterings);
     w.key("cluster_count").raw([&] {
-        JsonWriter h(compact);
+        JsonWriter h;
         writeHist(h, s.clusterCountHist);
         return h.str();
     }());
     w.key("occupancy").raw([&] {
-        JsonWriter h(compact);
+        JsonWriter h;
         writeHist(h, s.occupancyHist);
         return h.str();
     }());
     w.endObject();
     return w.str();
-}
-
-} // namespace
-
-std::string
-toJson()
-{
-    return render(false);
-}
-
-std::string
-telemetryJson()
-{
-    return render(true);
 }
 
 } // namespace audit

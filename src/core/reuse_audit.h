@@ -46,8 +46,7 @@
  * (the zero-alloc arena test runs with both armed).
  *
  * Exports: toJson() (schema "genreuse.audit/1", also embedded in BENCH
- * records), an "audit" pull source on the telemetry exporter while
- * either is armed, and a few global metrics for timelines.
+ * records) and a few global metrics for timelines.
  */
 
 #ifndef GENREUSE_CORE_REUSE_AUDIT_H
@@ -93,8 +92,7 @@ enabled()
     return detail::g_enabled.load(std::memory_order_relaxed);
 }
 
-/** Arm/disarm the efficacy hooks. The "audit" telemetry pull source is
- *  registered while these or the canary are armed. */
+/** Arm/disarm the efficacy hooks. */
 void setEnabled(bool on);
 
 /** The canary's gate: one relaxed atomic load of the rate bits. */
@@ -284,9 +282,6 @@ void reset();
 
 /** Schema-versioned JSON export (schema "genreuse.audit/1"). */
 std::string toJson();
-
-/** Compact one-line JSON for the telemetry pull source. */
-std::string telemetryJson();
 
 } // namespace audit
 } // namespace genreuse

@@ -9,7 +9,6 @@
 #include "common/metrics.h"
 #include "common/overload.h"
 #include "common/rtrace.h"
-#include "common/telemetry.h"
 
 namespace genreuse {
 namespace serve {
@@ -190,12 +189,6 @@ ServeEngine::ServeEngine(ServeConfig config, const StreamFactory &factory)
     }
     for (size_t i = 0; i < config_.workers; ++i)
         pool_.submit([this, i] { workerMain(i); });
-    // Continuous telemetry: the exporter samples this engine's health,
-    // queue/inflight state and latency percentiles on every tick.
-    // Registered last (workers may already be serving — the source
-    // only reads, under mu_) and unregistered first in shutdown().
-    telemetryToken_ = telemetry::registerSource(
-        config_.name, [this] { return telemetrySourceJson(); });
 }
 
 ServeEngine::~ServeEngine() { shutdown(); }
@@ -265,14 +258,11 @@ void
 ServeEngine::finish(Request &&req, ServeResult &&res)
 {
     // Every completion — success, shed, contained panic — lands in the
-    // live histograms before the callback runs, so stats() percentiles
+    // live histogram before the callback runs, so stats() percentiles
     // never lag the futures they describe.
-    const auto elapsed = [](uint64_t from, uint64_t to) {
-        return to > from ? to - from : 0;
-    };
-    latencyHist_.record(elapsed(res.enqueueNs, res.doneNs));
-    queueWaitHist_.record(elapsed(res.queuedNs, res.startNs));
-    serviceHist_.record(elapsed(res.startNs, res.doneNs));
+    latencyHist_.record(res.doneNs > res.enqueueNs
+                            ? res.doneNs - res.enqueueNs
+                            : 0);
     if (req.done)
         req.done(std::move(res));
     {
@@ -567,8 +557,7 @@ ServeEngine::updateHealthLocked()
     Health desired = Health::Healthy;
     if (shutdown_)
         desired = Health::Draining;
-    else if (overloadLevel_ > 0 || failingStreams_ > 0 ||
-             externalDegraded_)
+    else if (overloadLevel_ > 0 || failingStreams_ > 0)
         desired = Health::Degraded;
     if (desired == health_)
         return;
@@ -577,16 +566,6 @@ ServeEngine::updateHealthLocked()
     eventlog::record(eventlog::Type::Health, 0, 0.0, 0.0, 0.0,
                      static_cast<uint32_t>(overloadLevel_),
                      static_cast<uint8_t>(health_));
-}
-
-void
-ServeEngine::setExternalDegraded(bool degraded)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    if (externalDegraded_ == degraded)
-        return;
-    externalDegraded_ = degraded;
-    updateHealthLocked();
 }
 
 void
@@ -606,13 +585,6 @@ ServeEngine::shutdown()
             return;
         shutdown_ = true;
         updateHealthLocked();
-    }
-    // Unregister before teardown starts: unregisterSource blocks until
-    // any in-flight telemetry sample finishes, so the exporter can
-    // never observe a half-destroyed engine.
-    if (telemetryToken_ != 0) {
-        telemetry::unregisterSource(telemetryToken_);
-        telemetryToken_ = 0;
     }
     queue_.close();
     // Workers drain the queue (pop() serves queued requests until
@@ -717,65 +689,6 @@ ServeEngine::healthJson() const
         w.beginObject();
         w.key("id").value(static_cast<uint64_t>(i + 1));
         w.key("name").value(contexts_[i]->name());
-        w.key("strikes").value(ws.strikes);
-        w.key("quarantines").value(ws.quarantines);
-        w.key("parked").value(ws.parked);
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-    return w.str();
-}
-
-std::string
-ServeEngine::telemetrySourceJson() const
-{
-    // One compact object per telemetry tick (genreuse.tsdb/1 lines
-    // must stay single-line). Reads the same state as healthJson()
-    // plus the live histogram percentiles.
-    const uint64_t accepted = queue_.accepted();
-    const uint64_t rejected = queue_.rejected();
-    const size_t depth = queue_.size();
-    const size_t inflight = inflight_.load(std::memory_order_relaxed);
-    JsonWriter w(/*compact=*/true);
-    std::lock_guard<std::mutex> lock(mu_);
-    w.beginObject();
-    w.key("health").value(healthName(health_));
-    w.key("overloadLevel").value(overloadLevel_);
-    w.key("workers").value(static_cast<uint64_t>(config_.workers));
-    w.key("queueDepth").value(static_cast<uint64_t>(depth));
-    w.key("queueCapacity")
-        .value(static_cast<uint64_t>(queue_.capacity()));
-    w.key("inflight").value(static_cast<uint64_t>(inflight));
-    w.key("accepted").value(accepted);
-    w.key("rejected").value(rejected);
-    w.key("completed").value(completed_);
-    w.key("shed").value(shed_);
-    w.key("failed").value(failed_);
-    w.key("containedPanics").value(containedPanics_);
-    w.key("quarantines").value(quarantines_);
-    w.key("respawns").value(respawns_);
-    w.key("p50Ms").value(
-        static_cast<double>(latencyHist_.valueAtPercentile(50.0)) / 1e6);
-    w.key("p95Ms").value(
-        static_cast<double>(latencyHist_.valueAtPercentile(95.0)) / 1e6);
-    w.key("p99Ms").value(
-        static_cast<double>(latencyHist_.valueAtPercentile(99.0)) / 1e6);
-    w.key("p999Ms").value(
-        static_cast<double>(latencyHist_.valueAtPercentile(99.9)) / 1e6);
-    w.key("queueWaitP95Ms")
-        .value(static_cast<double>(
-                   queueWaitHist_.valueAtPercentile(95.0)) /
-               1e6);
-    w.key("serviceP95Ms")
-        .value(static_cast<double>(
-                   serviceHist_.valueAtPercentile(95.0)) /
-               1e6);
-    w.key("streams").beginArray();
-    for (size_t i = 0; i < workerStates_.size(); ++i) {
-        const WorkerState &ws = workerStates_[i];
-        w.beginObject();
-        w.key("id").value(static_cast<uint64_t>(i + 1));
         w.key("strikes").value(ws.strikes);
         w.key("quarantines").value(ws.quarantines);
         w.key("parked").value(ws.parked);

@@ -306,29 +306,10 @@ class ServeEngine
     /** Current readiness (also in stats()). */
     Health health() const;
 
-    /**
-     * External degradation input to the health state machine: while
-     * set, health is Degraded even with no overload or failing
-     * streams. The SLO monitor (serve/slo.h) raises it on a sustained
-     * fast burn and clears it when the alert resolves; any external
-     * supervisor can use it the same way. Idempotent.
-     */
-    void setExternalDegraded(bool degraded);
-
     /** Schema-versioned JSON (genreuse.health/1): health, overload
      *  level, engine counters and per-stream strike/quarantine state —
      *  the artifact genreuse_inspect renders. */
     std::string healthJson() const;
-
-    /** The engine's live latency histograms (ns): end-to-end
-     *  (submit → done), queue wait (queued → dequeue) and service
-     *  (dequeue → done). Concurrent-read safe. */
-    const HdrHistogram &latencyHistogram() const { return latencyHist_; }
-    const HdrHistogram &queueWaitHistogram() const
-    {
-        return queueWaitHist_;
-    }
-    const HdrHistogram &serviceHistogram() const { return serviceHist_; }
 
     const ServeConfig &config() const { return config_; }
     size_t numStreams() const;
@@ -351,9 +332,6 @@ class ServeEngine
     void workerMain(size_t index);
     Status admit(Request &&r);
     void finish(Request &&req, ServeResult &&res);
-    /** Compact JSON object for the telemetry exporter: health,
-     *  queue/inflight, counters, percentiles, per-stream strikes. */
-    std::string telemetrySourceJson() const;
     void observeQueueDelay(uint64_t delay_ns);
     void noteSuccess(size_t index);
     /** Handle one contained failure; true when the calling worker must
@@ -364,13 +342,10 @@ class ServeEngine
     ServeConfig config_;
     RequestQueue queue_;
     StreamFactory factory_; //!< retained for quarantine respawns
-    // Live latency distributions: recorded lock-free on completion,
-    // read by stats()/telemetry at any time.
+    // Live end-to-end latency distribution (submit → done): recorded
+    // lock-free on completion, read by stats() at any time.
     HdrHistogram latencyHist_;
-    HdrHistogram queueWaitHist_;
-    HdrHistogram serviceHist_;
     std::atomic<size_t> inflight_{0};
-    uint64_t telemetryToken_ = 0;
     std::vector<std::unique_ptr<InferenceStream>> streams_;
     std::vector<std::unique_ptr<StreamContext>> contexts_;
     std::vector<WorkerState> workerStates_;
@@ -387,7 +362,6 @@ class ServeEngine
     size_t failingStreams_ = 0; //!< workers with strikes > 0 or parked
     size_t overStreak_ = 0;     //!< consecutive over-delay dequeues
     int overloadLevel_ = 0;
-    bool externalDegraded_ = false; //!< setExternalDegraded (SLO burn)
     Health health_ = Health::Healthy;
     bool shutdown_ = false;
 

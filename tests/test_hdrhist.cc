@@ -224,7 +224,7 @@ TEST(HdrHist, OverflowClampsIntoTopBucket)
     EXPECT_EQ(h.bucketCount(h.numBuckets() - 1), 0u);
 }
 
-// ---- snapshot / windowed delta -------------------------------------
+// ---- snapshot ------------------------------------------------------
 
 TEST(HdrHist, SnapshotMatchesLiveHistogram)
 {
@@ -242,118 +242,6 @@ TEST(HdrHist, SnapshotMatchesLiveHistogram)
     for (double p : {50.0, 90.0, 99.0, 99.9})
         EXPECT_EQ(s.valueAtPercentile(p), h.valueAtPercentile(p))
             << "p=" << p;
-}
-
-TEST(HdrHist, DeltaSinceIsMergeConsistent)
-{
-    // The window between two snapshots must equal, bucket-for-bucket, a
-    // histogram that saw only the window's values — snapshot delta is
-    // the exact inverse of merge (both are bucket-count addition).
-    HdrHistogram cumulative, window_only;
-    fill(cumulative, 21, 400); // epoch A
-    const HdrHistogram::Snapshot before = cumulative.snapshot();
-
-    Rng rng(77); // epoch B: recorded into both histograms
-    for (int i = 0; i < 600; ++i) {
-        const uint64_t v =
-            static_cast<uint64_t>(std::exp(rng.uniform() * 20.0));
-        cumulative.record(v);
-        window_only.record(v);
-    }
-    const HdrHistogram::Snapshot after = cumulative.snapshot();
-    const HdrHistogram::Snapshot delta = after.deltaSince(before);
-
-    EXPECT_EQ(delta.count, window_only.count());
-    ASSERT_EQ(delta.counts.size(), window_only.numBuckets());
-    for (size_t i = 0; i < window_only.numBuckets(); ++i)
-        ASSERT_EQ(delta.counts[i], window_only.bucketCount(i))
-            << "bucket " << i;
-    EXPECT_DOUBLE_EQ(delta.mean(), window_only.mean());
-    // Percentiles agree within one bucket (extremes are re-derived
-    // from bucket bounds in the delta, so the clamp can differ by at
-    // most the bucket width at the edges).
-    for (double p : {50.0, 95.0, 99.0}) {
-        const uint64_t want = window_only.valueAtPercentile(p);
-        const uint64_t got = delta.valueAtPercentile(p);
-        const size_t b = window_only.bucketIndex(want);
-        EXPECT_GE(got, window_only.bucketLowerBound(b)) << "p=" << p;
-        EXPECT_LE(got, window_only.bucketUpperBound(b)) << "p=" << p;
-    }
-    // Window extremes live inside the window's occupied bucket range.
-    EXPECT_GE(delta.min, window_only.bucketLowerBound(
-                             window_only.bucketIndex(window_only.min())));
-    EXPECT_LE(delta.max, window_only.bucketUpperBound(
-                             window_only.bucketIndex(window_only.max())));
-}
-
-TEST(HdrHist, DeltaSinceEmptyBaselineIsIdentity)
-{
-    HdrHistogram h;
-    fill(h, 9, 300);
-    const HdrHistogram::Snapshot s = h.snapshot();
-    const HdrHistogram::Snapshot d =
-        s.deltaSince(HdrHistogram::Snapshot{});
-    EXPECT_EQ(d.count, s.count);
-    EXPECT_EQ(d.min, s.min);
-    EXPECT_EQ(d.max, s.max);
-    for (double p : {50.0, 99.0})
-        EXPECT_EQ(d.valueAtPercentile(p), s.valueAtPercentile(p));
-}
-
-TEST(HdrHist, DeltaSinceToleratesHistogramReset)
-{
-    // A reset between snapshots (exporter restart, engine respawn)
-    // must degrade to "the window is everything since the reset", not
-    // underflow into garbage percentiles.
-    HdrHistogram h;
-    fill(h, 3, 500);
-    const HdrHistogram::Snapshot before = h.snapshot();
-    h.reset();
-    h.record(100);
-    h.record(200);
-    const HdrHistogram::Snapshot after = h.snapshot();
-    const HdrHistogram::Snapshot d = after.deltaSince(before);
-    EXPECT_EQ(d.count, 2u);
-    EXPECT_EQ(d.valueAtPercentile(100.0), after.valueAtPercentile(100.0));
-}
-
-TEST(HdrHist, CountAboveIsBucketResolutionAndCountsOverflow)
-{
-    HdrHistogram h;
-    for (int i = 0; i < 5; ++i)
-        h.record(100);
-    for (int i = 0; i < 3; ++i)
-        h.record(10000);
-    const HdrHistogram::Snapshot s = h.snapshot();
-    EXPECT_EQ(s.countAbove(0), 8u);
-    EXPECT_EQ(s.countAbove(5000), 3u);
-    EXPECT_EQ(s.countAbove(20000), 0u);
-    // Values above a threshold never undercount by more than the one
-    // straddling bucket: just below a recorded value the count must
-    // include it or its bucket-mates, never more than recorded.
-    EXPECT_LE(s.countAbove(99), 8u);
-    EXPECT_GE(s.countAbove(99), 3u);
-
-    // Overflow (clamped past the max representable value) is by
-    // definition above any in-range threshold.
-    HdrHistogram tiny(4, 10); // max representable ~2^10
-    tiny.record(5);
-    tiny.record(1u << 20);
-    const HdrHistogram::Snapshot t = tiny.snapshot();
-    EXPECT_EQ(t.overflow, 1u);
-    EXPECT_EQ(t.countAbove(512), 1u);
-}
-
-TEST(HdrHist, DeltaSinceRejectsMismatchedGeometry)
-{
-    HdrHistogram a(5, 42);
-    HdrHistogram b(4, 42);
-    a.record(10);
-    b.record(10);
-    const HdrHistogram::Snapshot sa = a.snapshot();
-    const HdrHistogram::Snapshot sb = b.snapshot();
-    RecoveryDomain domain; // contain the REQUIRE panic as an exception
-    EXPECT_THROW((void)sa.deltaSince(sb), PanicException);
 }
 
 TEST(HdrHist, RecordIsThreadSafe)

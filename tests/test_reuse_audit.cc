@@ -249,8 +249,6 @@ TEST(Audit, JsonExportsCarrySchemaAndLayerName)
     const std::string json = audit::toJson();
     EXPECT_NE(json.find("genreuse.audit/1"), std::string::npos);
     EXPECT_NE(json.find("\"conv\""), std::string::npos);
-    EXPECT_NE(audit::telemetryJson().find("genreuse.audit/1"),
-              std::string::npos);
 }
 
 TEST(Audit, NewGuardAtAFreedGuardsAddressStartsFresh)

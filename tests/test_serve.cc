@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/eventlog.h"
 #include "common/faultpoint.h"
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -843,6 +844,63 @@ TEST(ChaosSoak, CanaryKeepsSamplingWhenOverloadShedsVerification)
 
     engine.shutdown();
     EXPECT_EQ(overload::level(), 0);
+    audit::setCanaryRate(0.0);
+    audit::reset();
+}
+
+/**
+ * The OOD storm through a live engine: a seeded ood_scale fault (every
+ * request's activations scaled far outside the fitted distribution)
+ * hits a guarded engine whose backlog drives overload to level 2,
+ * where verification is shed and OOD forwards are accepted on trust.
+ * The rate-1.0 canary must count those breaches on the serve path and
+ * journal CanaryBreach events, and the engine must recover once the
+ * storm passes.
+ */
+TEST(ChaosSoak, OodStormBreachesTheCanaryThroughALiveEngine)
+{
+    faultpoint::disarm();
+    audit::reset();
+    audit::setCanaryRate(1.0);
+    eventlog::reset();
+    eventlog::setEnabled(true);
+    ConvFixture f;
+    Tensor sample = f.sampleX();
+    ConvGeometry geom = f.conv.lastGeometry();
+    Tensor w = f.conv.weightMatrix();
+
+    ServeConfig cfg;
+    cfg.workers = 1;
+    cfg.queueCapacity = 32;
+    cfg.overloadQueueDelayNs = 1'000'000; // 1 ms
+    cfg.overloadWindow = 2;
+    ServeEngine engine(cfg, [&](uint32_t) {
+        // Default margin: OOD inputs must breach the budget.
+        return std::make_unique<GuardedConvStream>(
+            sample, geom, w, GuardConfig{}.marginFactor, /*delay_ms=*/5);
+    });
+
+    ASSERT_TRUE(faultpoint::armSpec("ood_scale").ok());
+    for (int i = 0; i < 12; ++i)
+        ASSERT_TRUE(engine.trySubmit(sample, nullptr));
+    engine.drain();
+    faultpoint::disarm();
+
+    ServeStats st = engine.stats();
+    EXPECT_EQ(st.overloadLevel, overload::kMaxLevel);
+    EXPECT_EQ(st.health, Health::Degraded);
+    EXPECT_GT(audit::canarySamples(), 0u);
+    ASSERT_GT(audit::canaryBreaches(), 0u);
+    uint64_t breach_events = 0;
+    for (const eventlog::Event &e : eventlog::snapshot())
+        if (e.type == eventlog::Type::CanaryBreach)
+            ++breach_events;
+    EXPECT_GT(breach_events, 0u);
+
+    engine.shutdown();
+    EXPECT_EQ(overload::level(), 0);
+    eventlog::setEnabled(false);
+    eventlog::reset();
     audit::setCanaryRate(0.0);
     audit::reset();
 }
