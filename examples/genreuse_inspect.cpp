@@ -10,8 +10,6 @@
  *                             the last-N event table
  *   genreuse.prof/1           profiler exports: top spans with wall
  *                             shares
- *   genreuse.trace/1          op-ledger exports: per-stage model-cost
- *                             shares
  *   genreuse.guard/1          guard counters
  *   genreuse.metrics/1        metrics registry
  *   genreuse.health/1         serve-engine health snapshots (per-stream
@@ -165,6 +163,14 @@ eventDetail(const JsonValue &e)
     if (type == "streaming")
         return "redundancy=" + fmt("%.3f", v0) + " vectors=" +
                fmt("%.0f", v1) + " scratch=" + fmt("%.0f", v2) + "B";
+    if (type == "canary_sample" || type == "canary_breach") {
+        std::string out = "error=" + fmt("%.4g", v0) + " budget=" +
+                          fmt("%.4g", v1) + " ewma=" + fmt("%.4g", v2) +
+                          " rows=" + fmt("%.0f", n);
+        if (type == "canary_breach")
+            out += " overload_level=" + fmt("%.0f", k);
+        return out;
+    }
     return "";
 }
 
@@ -178,8 +184,9 @@ isTimelineWorthy(const JsonValue &e)
         type == "sram_high_water" || type == "warn_once")
         return true;
     if (type == "panic" || type == "request_shed" ||
-        type == "stream_quarantine" || type == "health")
-        return true; // failure-containment events are always regime changes
+        type == "stream_quarantine" || type == "health" ||
+        type == "canary_breach")
+        return true; // containment and canary breaches are regime changes
     return type == "drift" && num(&e, "n") != 0.0; // trips only
 }
 
@@ -376,42 +383,6 @@ renderProf(const JsonValue &doc)
                   fmt("%.1f%%", 100.0 * num(s, "totalNs") / wall_total),
                   fmt("%.3f", num(s, "p95Ns") / 1e6)});
     }
-    std::printf("%s\n", t.render().c_str());
-}
-
-// ---- genreuse.trace/1 ----------------------------------------------------
-
-void
-renderTrace(const JsonValue &doc)
-{
-    const JsonValue *layers = doc.find("layers");
-    if (layers == nullptr || !layers->isArray()) {
-        std::printf("trace export: no layers\n\n");
-        return;
-    }
-    // Model-cost shares per stage, MAC-weighted across all layers —
-    // the model-side counterpart to the profiler's wall shares.
-    std::map<std::string, double> stage_macs;
-    double total_macs = 0.0;
-    for (const JsonValue &layer : layers->items) {
-        const JsonValue *stages = layer.find("stages");
-        if (stages == nullptr || !stages->isObject())
-            continue;
-        for (const auto &[stage, counts] : stages->members) {
-            const double macs = num(&counts, "macs");
-            stage_macs[stage] += macs;
-            total_macs += macs;
-        }
-    }
-    std::printf("op-ledger trace: %zu layers, per-stage model shares "
-                "(MACs)\n",
-                layers->items.size());
-    TextTable t;
-    t.setHeader({"stage", "MACs", "share"});
-    for (const auto &[stage, macs] : stage_macs)
-        t.addRow({stage, fmt("%.0f", macs),
-                  fmt("%.1f%%",
-                      100.0 * macs / std::max(1.0, total_macs))});
     std::printf("%s\n", t.render().c_str());
 }
 
@@ -852,8 +823,6 @@ main(int argc, char **argv)
             renderEventsSummary(doc);
         } else if (schema == "genreuse.prof/1") {
             renderProf(doc);
-        } else if (schema == "genreuse.trace/1") {
-            renderTrace(doc);
         } else if (schema == "genreuse.guard/1") {
             renderGuard(doc);
             std::printf("\n");

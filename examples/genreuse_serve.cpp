@@ -12,7 +12,7 @@
  *            [--deadline 50ms] [--overload-delay 20ms]
  *            [--health out.health.json]
  *            [--rtrace out.rtrace.json[:rate]]
- *            [--canary 0.05] [--audit]
+ *            [--canary 0.05] [--audit out.audit.json]
  *
  * --rtrace records per-request span decompositions (admission, queue
  * wait, forward, verification) and writes a genreuse.rtrace/1 artifact
@@ -22,7 +22,8 @@
  * --canary R samples a fraction R of guarded forwards onto the exact
  * path and tracks the true relative error per layer (mirrors
  * GENREUSE_CANARY); --audit arms the reuse-efficacy audit (mirrors
- * GENREUSE_AUDIT).
+ * GENREUSE_AUDIT) and writes its genreuse.audit/1 document at exit:
+ * per-layer observed vs modeled r_t and the canary's error series.
  *
  * Each worker owns one stream: a guarded reuse convolution fitted
  * with the same seed, so all streams are bit-identical replicas and
@@ -97,6 +98,24 @@ class GuardedConvStream : public InferenceStream
     std::shared_ptr<GuardedReuseConvAlgo> guard_;
 };
 
+/** Write @p doc to @p path; on success print "<what> -> <path> (<hint>
+ *  genreuse_inspect <path>)". */
+void
+writeArtifact(const std::string &path, const std::string &doc,
+              const char *what, const char *hint)
+{
+    FILE *f = std::fopen(path.c_str(), "w");
+    if (f == nullptr) {
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+        return;
+    }
+    std::fputs(doc.c_str(), f);
+    std::fputc('\n', f);
+    std::fclose(f);
+    std::printf("%s -> %s (%sgenreuse_inspect %s)\n", what, path.c_str(),
+                hint, path.c_str());
+}
+
 } // namespace
 
 int
@@ -149,7 +168,8 @@ main(int argc, char **argv)
     const double canary_rate = args.getDouble("canary", 0.0);
     if (canary_rate > 0.0)
         audit::setCanaryRate(canary_rate);
-    if (args.has("audit"))
+    const std::string audit_path = args.getString("audit");
+    if (!audit_path.empty())
         audit::setEnabled(true);
 
     SyntheticConfig data_cfg;
@@ -200,20 +220,9 @@ main(int argc, char **argv)
     // "draining", which is true but not what an operator probing a
     // live process wants to see.
     const std::string health_path = args.getString("health");
-    if (!health_path.empty()) {
-        std::string json = engine.healthJson();
-        FILE *f = std::fopen(health_path.c_str(), "w");
-        if (f != nullptr) {
-            std::fputs(json.c_str(), f);
-            std::fputc('\n', f);
-            std::fclose(f);
-            std::printf("health snapshot -> %s (render with "
-                        "genreuse_inspect %s)\n",
-                        health_path.c_str(), health_path.c_str());
-        } else {
-            std::fprintf(stderr, "cannot write %s\n", health_path.c_str());
-        }
-    }
+    if (!health_path.empty())
+        writeArtifact(health_path, engine.healthJson(), "health snapshot",
+                      "render with ");
 
     engine.shutdown();
     ServeStats st = engine.stats();
@@ -242,6 +251,10 @@ main(int argc, char **argv)
                     "chrome://tracing)\n",
                     rtrace_path.c_str(), rtrace_path.c_str());
     }
+
+    if (!audit_path.empty())
+        writeArtifact(audit_path, audit::toJson(), "reuse audit",
+                      "per-layer r_t and canary series: ");
 
     if (!events_path.empty()) {
         eventlog::writeJson(events_path, "genreuse_serve");

@@ -18,7 +18,6 @@
 
 #include "common/args.h"
 #include "common/profiler.h"
-#include "common/trace.h"
 #include "core/latency_model.h"
 #include "core/reuse_conv.h"
 #include "data/synthetic.h"
@@ -64,15 +63,12 @@ main(int argc, char **argv)
     algo->fit(conv.lastIm2col(), geom);
     conv.setAlgo(algo);
 
-    // --- reuse inference, with the op-ledger trace on --------------------
-    // The attached ledger collects this layer's counts for pricing; the
-    // trace registry mirrors the same counts per layer name so a whole
-    // network run can be exported as JSON afterwards.
+    // --- reuse inference, with an op ledger attached --------------------
+    // The attached ledger collects this layer's per-stage op counts for
+    // pricing on the boards below.
     CostLedger ledger;
     conv.setLedger(&ledger);
-    trace::setEnabled(true);
     Tensor approx = conv.forward(image, /*training=*/false);
-    trace::setEnabled(false);
     conv.setLedger(nullptr);
 
     const ReuseStats &stats = algo->lastStats();
@@ -95,11 +91,6 @@ main(int argc, char **argv)
                     board.name.c_str(), exact_ms, reuse_ms,
                     exact_ms / reuse_ms);
     }
-
-    // --- export the per-layer op trace as JSON ---------------------------
-    trace::writeJson("trace_quickstart.json");
-    std::printf("wrote per-layer op counts to trace_quickstart.json\n");
-    trace::reset();
 
     // --- optional wall-clock timeline ------------------------------------
     if (!profile_path.empty()) {

@@ -11,7 +11,7 @@
  * high-water updates and warn-once firings, each stamped with a
  * sequence number and a steady-clock timestamp.
  *
- * Design mirrors the trace/profiler/faultpoint subsystems:
+ * Design mirrors the profiler/faultpoint subsystems:
  *
  *  - Off by default. The hot-path gate is one relaxed atomic load per
  *    record() / LayerScope construction; the whole subsystem compiles
@@ -71,15 +71,14 @@
  *                  the canary was the only accuracy signal)
  *
  * The tag field is an interned string id — usually the enclosing
- * layer's name, established by the LayerScope RAII in Layer forwards
- * (mirroring trace::TraceScope). Every event additionally carries the
- * recording thread's stream id (common/streamtag.h) so concurrent
- * serve streams demux in a single dump; 0 means "no stream" and is
- * omitted from the JSON. When request tracing (common/rtrace.h) is
- * armed, events also carry the low 32 bits of the request id
- * executing on the recording thread — so a blackbox dump ties every
- * journaled event back to the request that caused it (0 = none,
- * omitted from the JSON).
+ * layer's name, established by the LayerScope RAII in Layer forwards.
+ * Every event additionally carries the recording thread's stream id
+ * (common/streamtag.h) so concurrent serve streams demux in a single
+ * dump; 0 means "no stream" and is omitted from the JSON. When
+ * request tracing (common/rtrace.h) is armed, events also carry the
+ * low 32 bits of the request id executing on the recording thread —
+ * so a blackbox dump ties every journaled event back to the request
+ * that caused it (0 = none, omitted from the JSON).
  */
 
 #ifndef GENREUSE_COMMON_EVENTLOG_H
@@ -186,9 +185,8 @@ record(Type type, uint16_t tag = 0, double d0 = 0.0, double d1 = 0.0,
 }
 
 /**
- * RAII layer tag mirroring trace::TraceScope: events recorded on this
- * thread inside the scope carry @p layer_name as their tag (innermost
- * scope wins). Construction is one relaxed load when the journal is
+ * RAII layer tag: events recorded on this thread inside the scope
+ * carry @p layer_name as their tag (innermost scope wins). Construction is one relaxed load when the journal is
  * off.
  */
 class LayerScope

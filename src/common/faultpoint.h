@@ -30,7 +30,7 @@
  * historical behavior.
  *
  * The hot-path gate is one relaxed atomic load (anyArmed()), mirroring
- * the trace gate, and the whole subsystem compiles out under
+ * the eventlog gate, and the whole subsystem compiles out under
  * GENREUSE_DISABLE_FAULTPOINTS (active() becomes a constant false, so
  * every injection site folds away).
  */

@@ -3,7 +3,7 @@
  * Minimal JSON support — no external dependency, just enough for the
  * schema-versioned artifacts this repo emits and consumes:
  *
- *  - JsonWriter, a streaming writer for trace snapshots and
+ *  - JsonWriter, a streaming writer for the exported documents and
  *    BENCH_*.json records, pretty-printed with stable key order so
  *    records can be diffed across runs.
  *  - JsonValue + parseJson(), a recursive-descent reader used by

@@ -6,7 +6,7 @@
  * cluster counts and the redundancy ratio r_t, the SRAM high-water
  * mark, suppressed warn-once volume.
  *
- * Design mirrors trace/faultpoint: updates are single relaxed atomic
+ * Design mirrors eventlog/faultpoint: updates are single relaxed atomic
  * RMWs on pre-resolved handles (look the handle up once with
  * counter()/gauge(), then add()/set() from the hot path), the registry
  * keeps first-seen order so exports are stable, and the whole

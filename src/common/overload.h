@@ -19,7 +19,7 @@
  * The controller raises the level under sustained queue delay and
  * restores it when the queue drains; reads are one relaxed load, so a
  * level consult on the guarded forward path costs the same as the
- * trace/fault gates.
+ * eventlog/fault gates.
  */
 
 #ifndef GENREUSE_COMMON_OVERLOAD_H

@@ -270,29 +270,6 @@ snapshot()
     return out;
 }
 
-std::vector<std::pair<std::string, std::vector<SpanEntry>>>
-threadSnapshot()
-{
-    std::vector<std::pair<std::string, std::vector<SpanEntry>>> out;
-    std::lock_guard<std::mutex> reg_lock(detail::g_reg_mutex);
-    for (detail::ThreadState *st : detail::threadRegistry()) {
-        std::lock_guard<std::mutex> lock(st->mu);
-        if (st->stats.empty())
-            continue;
-        std::vector<SpanEntry> entries;
-        entries.reserve(st->stats.size());
-        for (const auto &[path, stats] : st->stats)
-            entries.push_back({path, stats});
-        std::sort(entries.begin(), entries.end(),
-                  [](const SpanEntry &a, const SpanEntry &b) {
-                      return a.path < b.path;
-                  });
-        out.emplace_back("thread-" + std::to_string(st->tid),
-                         std::move(entries));
-    }
-    return out;
-}
-
 bool
 hasSpans()
 {
@@ -353,7 +330,6 @@ std::string
 toJson()
 {
     auto spans = snapshot();
-    auto tracks = threadSnapshot();
     JsonWriter w;
     w.beginObject();
     w.key("schema").value("genreuse.prof/1");
@@ -367,22 +343,6 @@ toJson()
         w.key("maxNs").value(e.stats.maxNs);
         w.key("p50Ns").value(e.stats.quantileNs(0.50));
         w.key("p95Ns").value(e.stats.quantileNs(0.95));
-        w.endObject();
-    }
-    w.endArray();
-    w.key("threads").beginArray();
-    for (const auto &[track, entries] : tracks) {
-        w.beginObject();
-        w.key("name").value(track);
-        w.key("spans").beginArray();
-        for (const SpanEntry &e : entries) {
-            w.beginObject();
-            w.key("path").value(e.path);
-            w.key("count").value(e.stats.count);
-            w.key("totalNs").value(e.stats.totalNs);
-            w.endObject();
-        }
-        w.endArray();
         w.endObject();
     }
     w.endArray();

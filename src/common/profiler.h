@@ -1,13 +1,13 @@
 /**
  * @file
- * Hierarchical wall-clock profiler. Where the op ledger (trace.h)
+ * Hierarchical wall-clock profiler. Where the op ledger (op_ledger.h)
  * counts abstract operations for the MCU cycle model, the profiler
  * measures where *host* wall-clock time actually goes, so model-vs-
  * measured drift can be attributed to a pipeline stage (the MAESTRO
  * argument: stage-level attribution is what makes a cost model
  * actionable).
  *
- * Design mirrors the trace/faultpoint subsystems:
+ * Design mirrors the eventlog/faultpoint subsystems:
  *
  *  - Off by default. The hot-path gate is one relaxed atomic load per
  *    ProfSpan construction; the whole subsystem compiles out under
@@ -151,11 +151,6 @@ struct SpanEntry
  *  aggregate is deterministic regardless of thread scheduling. */
 std::vector<SpanEntry> snapshot();
 
-/** Per-thread view: one (track name, entries) pair per thread that
- *  ever recorded, in thread-registration order. */
-std::vector<std::pair<std::string, std::vector<SpanEntry>>>
-threadSnapshot();
-
 /** True when any span has been recorded since the last reset(). */
 bool hasSpans();
 
@@ -168,7 +163,7 @@ uint64_t droppedEvents();
 
 /** Schema-versioned JSON export of the aggregate snapshot
  *  (schema "genreuse.prof/1": per-path count/total/min/max/p50/p95
- *  plus per-thread counts). */
+ *  and the dropped-event count). */
 std::string toJson();
 
 /** Chrome trace-event JSON document ({"traceEvents": [...]}) of the

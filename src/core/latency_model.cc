@@ -12,7 +12,7 @@ namespace {
  * after the strategy's multiply. Both the exact and the reuse execution
  * pay it, so both predicted ledgers must include it — omitting it on
  * the reuse side (as an earlier revision did) makes predictions diverge
- * from what a traced forward() actually reports.
+ * from what a forward() actually reports to its ledger.
  */
 OpCounts
 biasFoldOps(const ConvGeometry &geom)

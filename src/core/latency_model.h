@@ -76,10 +76,10 @@ class ReuseConvAlgo;
  * Per-image latency prediction for an *already fitted* algo — e.g. the
  * Learned-hash algo a deployment actually installs — rather than the
  * lightweight Random-hash profiling configuration. Charges exactly what
- * a traced Conv2D::forward() with this algo charges (im2col move, the
+ * a ledger-attached Conv2D::forward() with this algo charges (im2col move, the
  * algo's own multiply accounting, bias/fold recovery), so summing these
- * estimates over the evaluation images reconciles with the runtime
- * op-ledger trace; table3_perf_breakdown asserts agreement within 1%.
+ * estimates over the evaluation images reconciles with the layer's
+ * attached op ledger; table3_perf_breakdown asserts agreement within 1%.
  */
 LatencyEstimate estimateLatencyFitted(ReuseConvAlgo &algo,
                                       const Tensor &sample_default_x,

@@ -37,7 +37,7 @@
  * its address: an algorithm built where a freed one lived starts with
  * a fresh slot, name and model.
  *
- * Design mirrors trace/faultpoint/eventlog: off by default, each
+ * Design mirrors faultpoint/eventlog: off by default, each
  * hot-path gate is ONE inlined relaxed atomic load per hook
  * (BM_AuditGateDisabled / BM_CanaryGateDisabled pin this), armed via
  * setEnabled() / setCanaryRate() or GENREUSE_AUDIT=1 /

@@ -66,7 +66,6 @@ ReuseDense::forward(const Tensor &x, bool training)
     if (training || !reuseEnabled_)
         return dense_.forward(x, training);
 
-    trace::TraceScope tscope(name());
     profiler::ProfSpan pspan("dense.reuse");
     eventlog::LayerScope escope(name());
     // Flatten per sample (same convention as Dense). A rank-2 input is

@@ -11,7 +11,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/trace.h"
+#include "common/op_ledger.h"
 #include "lsh.h"
 #include "tensor/matrix_view.h"
 #include "tensor/tensor.h"

@@ -2,7 +2,7 @@
  * @file
  * Operation-count based latency model. Kernels report exactly what work
  * they did (MACs, element moves, scalar ALU ops, hash-table probes) via
- * the common op-ledger vocabulary (src/common/trace.h); this module
+ * the common op-ledger vocabulary (src/common/op_ledger.h); this module
  * prices those counts in cycles for a given board and converts to
  * milliseconds. This substitutes for running on the real STM32 boards
  * while preserving every quantity the paper's latency claims depend on
@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "common/trace.h"
+#include "common/op_ledger.h"
 #include "mcu_spec.h"
 
 namespace genreuse {
@@ -38,7 +38,7 @@ class CostModel
     /** Milliseconds for the given op mix. */
     double milliseconds(const OpCounts &ops) const;
 
-    /** Total milliseconds of a ledger (e.g. a trace snapshot). */
+    /** Total milliseconds of a ledger. */
     double milliseconds(const OpLedger &ledger) const;
 
   private:
@@ -56,7 +56,7 @@ class CostLedger : public OpLedger
   public:
     CostLedger() = default;
 
-    /** Adopt counts recorded elsewhere (e.g. a trace snapshot). */
+    /** Adopt counts recorded into a plain OpLedger. */
     explicit CostLedger(const OpLedger &ops) : OpLedger(ops) {}
 
     /** Milliseconds of one stage on a board. */

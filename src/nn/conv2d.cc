@@ -90,11 +90,9 @@ Conv2D::packedWeights()
 Tensor
 Conv2D::forward(const Tensor &x, bool training)
 {
-    trace::TraceScope tscope(name());
     profiler::ProfSpan pspan("conv.forward");
-    // Unlike TraceScope this is active whenever the journal is on, so
-    // guard/fault/reuse events inside the multiply carry the layer
-    // name into postmortem dumps.
+    // Active whenever the journal is on, so guard/fault/reuse events
+    // inside the multiply carry the layer name into postmortem dumps.
     eventlog::LayerScope escope(name());
     ConvGeometry geom = geometry(x.shape());
     if (!training && kernelSize_ == 1 && stride_ == 1 && pad_ == 0 &&

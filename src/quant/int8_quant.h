@@ -13,7 +13,7 @@
 
 #include "common/aligned.h"
 #include "common/status.h"
-#include "common/trace.h"
+#include "common/op_ledger.h"
 #include "tensor/tensor.h"
 
 namespace genreuse {
