@@ -242,6 +242,60 @@ BENCHMARK(BM_ClusterSums)
     ->Args({1, 1});
 
 void
+BM_SliceSignatures(benchmark::State &state)
+{
+    // Every slice's signatures of one layer forward in one sweep over
+    // the padded input, as the fused reuse pass hashes them, H = 4.
+    // Args: shape (0 = CifarNet conv2, 64 channels @ 16x16 5x5, C1
+    // slices of one channel's 25 taps; 1 = Fire8 expand_3x3, 64
+    // channels @ 4x4 3x3, C2 slices of nine channels at one tap) and
+    // kernel (0 = dispatched, 1 = scalar oracle).
+    const bool fire = state.range(0) == 1;
+    const size_t cin = 64, side = fire ? 4 : 16, k = fire ? 3 : 5;
+    const size_t pw = side + 2 * (k / 2), plane = pw * pw;
+    const size_t len = fire ? 9 : k * k, h = 4;
+    Rng rng(6);
+    const Tensor x = Tensor::randomNormal({cin * plane}, rng);
+    std::vector<uint32_t> elem_off;
+    for (size_t kh = 0; kh < k; ++kh)
+        for (size_t kw = 0; kw < k; ++kw)
+            for (size_t c = 0; c < cin; ++c)
+                elem_off.push_back(
+                    static_cast<uint32_t>(c * plane + kh * pw + kw));
+    if (!fire) // C1: [c][kh][kw]
+        for (size_t c = 0, e = 0; c < cin; ++c)
+            for (size_t t = 0; t < k * k; ++t, ++e)
+                elem_off[e] = static_cast<uint32_t>(c * plane +
+                                                    t / k * pw + t % k);
+    const size_t ns = elem_off.size() / len;
+    const Tensor v = Tensor::randomNormal({ns * h * len}, rng);
+    const std::vector<float> biases(ns * h, 0.0f);
+    std::vector<simd::SliceHash> slices(ns);
+    for (size_t s = 0; s < ns; ++s)
+        slices[s] = {elem_off.data() + s * len, len,
+                     v.data() + s * h * len, biases.data() + s * h, h};
+    simd::PatchGrid grid;
+    grid.images = 1;
+    grid.rows = grid.cols = side;
+    grid.pitch = pw;
+    grid.imageStride = cin * plane;
+    std::vector<uint64_t> sigs(ns * grid.count());
+    const simd::Ops &ops = opsForArg(state.range(1));
+    for (auto _ : state) {
+        ops.sliceSignatures(x.data(), grid, slices.data(), ns, sigs.data());
+        benchmark::DoNotOptimize(sigs.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(std::string(fire ? "fire8.C2" : "conv2.C1") + " " +
+                   ops.name);
+}
+BENCHMARK(BM_SliceSignatures)
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1});
+
+void
 BM_MaxPoolEval(benchmark::State &state)
 {
     // CifarNet pool1's eval forward, 64 x 32 x 32 -> 16 x 16. Arg:
@@ -536,13 +590,18 @@ void
 BM_GuardedConvEval(benchmark::State &state)
 {
     // A whole Conv2D eval forward (bias and layout fold included) with
-    // a guarded one-tile C1 pattern, H = 4, on redundant synthetic
-    // images. Args: shape (0 = CifarNet conv2, 64 -> 64 @ 16x16 5x5;
-    // 1 = Fire4 expand_3x3, 32 -> 128 @ 8x8 3x3) and path (0 = fused
-    // from NCHW, 1 = im2col through a pass-through wrapper).
-    const bool fire = state.range(0) == 1;
-    const size_t cin = fire ? 32 : 64, cout = fire ? 128 : 64;
-    const size_t k = fire ? 3 : 5, side = fire ? 8 : 16;
+    // a guarded one-tile pattern, H = 4, on redundant synthetic images.
+    // Args: shape (0 = CifarNet conv2, 64 -> 64 @ 16x16 5x5, C1;
+    // 1 = Fire4 expand_3x3, 32 -> 128 @ 8x8 3x3, C1; 2 = Fire8
+    // expand_3x3, 64 -> 256 @ 4x4 3x3, C2, where per-slice costs
+    // dominate) and path (0 = fused from NCHW, 1 = im2col through a
+    // pass-through wrapper).
+    const int64_t shape = state.range(0);
+    const bool fire = shape != 0;
+    const size_t cin = shape == 1 ? 32 : 64;
+    const size_t cout = shape == 0 ? 64 : shape == 1 ? 128 : 256;
+    const size_t k = fire ? 3 : 5;
+    const size_t side = shape == 0 ? 16 : shape == 1 ? 8 : 4;
     Rng rng(5);
     Conv2D conv("conv", cin, cout, k, 1, k / 2, rng);
     SyntheticConfig cfg;
@@ -570,6 +629,8 @@ BM_GuardedConvEval(benchmark::State &state)
     ReusePattern p;
     p.granularity = k * k;
     p.numHashes = 4;
+    if (shape == 2)
+        p.columnOrder = ColumnOrder::PixelMajor;
     GuardConfig gcfg;
     gcfg.marginFactor = 1e9; // time rung 0 on both paths
     auto guarded = std::make_shared<GuardedReuseConvAlgo>(
@@ -579,22 +640,27 @@ BM_GuardedConvEval(benchmark::State &state)
         conv.setAlgo(guarded);
     else
         conv.setAlgo(std::make_shared<Im2colOnly>(guarded));
-    // The first forward builds the algorithm's per-instance stream
-    // state (tens of ms); left in the timed loop it would dominate
-    // short runs and swing with the iteration count.
+    // The first forward derives the guard's error budget for this
+    // stream (the accuracy bound's power iterations on the fit sample,
+    // tens of ms; the guard.budget span); left in the timed loop it
+    // would dominate short runs and swing with the iteration count.
     (void)conv.forward(x, false);
     for (auto _ : state) {
         Tensor y = conv.forward(x, false);
         benchmark::DoNotOptimize(y.data());
     }
-    state.SetLabel(std::string(fire ? "fire4.expand_3x3" : "cifarnet.conv2") +
+    const char *names[] = {"cifarnet.conv2", "fire4.expand_3x3",
+                           "fire8.expand_3x3"};
+    state.SetLabel(std::string(names[shape]) +
                    (state.range(1) == 0 ? " fused" : " im2col"));
 }
 BENCHMARK(BM_GuardedConvEval)
     ->Args({0, 0})
     ->Args({0, 1})
     ->Args({1, 0})
-    ->Args({1, 1});
+    ->Args({1, 1})
+    ->Args({2, 0})
+    ->Args({2, 1});
 
 void
 BM_ProfGateDisabled(benchmark::State &state)

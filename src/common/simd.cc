@@ -154,29 +154,26 @@ reluScalar(const float *src, float *dst, size_t n)
         dst[i] = src[i] > 0.0f ? src[i] : 0.0f;
 }
 
-void
-gatherSignaturesScalar(const float *x, const uint32_t *off, size_t len,
-                       const float *v, const float *biases, size_t h,
-                       size_t count, uint64_t *sigs)
+/** The signature of the patch starting at @p xi under one slice's
+ *  family: the sliceSignatures contract's per-function sequence. */
+uint64_t
+patchSignature(const float *xi, const SliceHash &s)
 {
-    for (size_t i = 0; i < count; ++i) {
-        const float *xi = x + i;
-        uint64_t sig = 0;
-        for (size_t f = 0; f < h; ++f) {
-            const float *vf = v + f * len;
-            float p = 0.0f;
-            for (size_t j0 = 0; j0 < len; j0 += kBlockK) {
-                const size_t j1 = std::min(len, j0 + kBlockK);
-                float acc = 0.0f;
-                for (size_t j = j0; j < j1; ++j)
-                    acc += xi[off[j]] * vf[j];
-                p += acc;
-            }
-            if (p + biases[f] > 0.0f)
-                sig |= uint64_t{1} << f;
+    uint64_t sig = 0;
+    for (size_t f = 0; f < s.h; ++f) {
+        const float *vf = s.v + f * s.len;
+        float p = 0.0f;
+        for (size_t j0 = 0; j0 < s.len; j0 += kBlockK) {
+            const size_t j1 = std::min(s.len, j0 + kBlockK);
+            float acc = 0.0f;
+            for (size_t j = j0; j < j1; ++j)
+                acc += xi[s.off[j]] * vf[j];
+            p += acc;
         }
-        sigs[i] = sig;
+        if (p + s.biases[f] > 0.0f)
+            sig |= uint64_t{1} << f;
     }
+    return sig;
 }
 
 } // namespace
@@ -196,6 +193,20 @@ clusterSumsScalar(const float *x, const uint32_t *itemOff,
                 dst[j] += src[elemOff[j]];
         }
     }
+}
+
+void
+sliceSignaturesScalar(const float *x, const PatchGrid &grid,
+                      const SliceHash *slices, size_t ns, uint64_t *sigs)
+{
+    for (size_t s = 0; s < ns; ++s)
+        for (size_t b = 0; b < grid.images; ++b)
+            for (size_t r = 0; r < grid.rows; ++r) {
+                const float *row =
+                    x + b * grid.imageStride + r * grid.pitch;
+                for (size_t c = 0; c < grid.cols; ++c)
+                    *sigs++ = patchSignature(row + c, slices[s]);
+            }
 }
 
 void
@@ -344,7 +355,7 @@ constexpr Ops kScalarOps = {
     signProjectScalar,
     allFiniteScalar,
     reluScalar,
-    gatherSignaturesScalar,
+    sliceSignaturesScalar,
     clusterSumsScalar,
     maxPool2x2Scalar,
     transposeScalar,

@@ -2,7 +2,7 @@
  * @file
  * Runtime SIMD kernel dispatch, after TFLite-Micro's replaceable-kernel
  * design: every hot inner loop (f32 GEMM, raw int8 GEMM, the LSH sign
- * pass and gathered-patch hashing, gathered cluster sums, elementwise
+ * pass and the patch-slice hashing sweep, gathered cluster sums, elementwise
  * add/scale, eval ReLU, BatchNorm and 2x2 max-pool, the non-finite
  * scan, the layout transpose, and the reuse recovery and bias
  * epilogues) is reached through a per-process ops
@@ -40,6 +40,33 @@ namespace genreuse::simd {
 
 enum class Level : int { Scalar = 0, Avx2 = 1, Neon = 2 };
 
+/**
+ * The output pixels of a stride-1 convolution over a zero-padded
+ * input, as offsets into it: @p images blocks of rows x cols pixels,
+ * pixel (b, r, c) at b * imageStride + r * pitch + c.
+ */
+struct PatchGrid
+{
+    size_t images = 0;
+    size_t rows = 0;
+    size_t cols = 0;
+    size_t pitch = 0; //!< padded row width, >= cols
+    size_t imageStride = 0;
+
+    size_t count() const { return images * rows * cols; }
+};
+
+/** One vertical slice's hash family for sliceSignatures: its element
+ *  offsets and its h x len hyperplanes with their biases. */
+struct SliceHash
+{
+    const uint32_t *off;
+    size_t len;
+    const float *v;
+    const float *biases;
+    size_t h;
+};
+
 /** The replaceable-kernel table. All pointers are always non-null. */
 struct Ops
 {
@@ -76,19 +103,25 @@ struct Ops
     void (*relu)(const float *src, float *dst, size_t n);
 
     /**
-     * LSH signatures of @p count consecutive gathered items, read in
-     * place: element j (< len) of item i is x[i + off[j]], as the
-     * im2col rows of adjacent output pixels are in a zero-padded
-     * stride-1 input. Bit f (< h) of sigs[i] is (p + biases[f] > 0)
-     * with p the projection onto row f of the h x len matrix @p v,
+     * LSH signatures of every vertical slice of the patches of a
+     * stride-1 convolution, read in place from its zero-padded input
+     * in one sweep. Item i = (b * rows + r) * cols + c of @p grid
+     * starts at x + b * imageStride + r * pitch + c, and element j
+     * (< len) of slice s is at that start + slices[s].off[j]. Bit f
+     * (< h) of sigs[s * grid.count() + i] is (p + biases[f] > 0) with
+     * p the projection onto row f of the slice's h x len matrix v,
      * summed exactly as gemmF32 sums the (count x len) x (len x h)
      * product: per 256-wide block of j, acc = 0 then acc += x * v with
      * j ascending, and the block sums added in order to p = 0.
+     *
+     * Vector levels may compute border lanes (flat positions r * pitch
+     * + c with c >= cols) and drop them, so every flat position in
+     * [0, (rows - 1) * pitch + cols) of each image, plus every offset,
+     * must be readable, as it is in a padded stride-1 input.
      */
-    void (*gatherSignatures)(const float *x, const uint32_t *off,
-                             size_t len, const float *v,
-                             const float *biases, size_t h, size_t count,
-                             uint64_t *sigs);
+    void (*sliceSignatures)(const float *x, const PatchGrid &grid,
+                            const SliceHash *slices, size_t ns,
+                            uint64_t *sigs);
 
     /**
      * Unscaled cluster sums of gathered items, cluster by cluster:

@@ -419,127 +419,211 @@ reluAvx2(const float *src, float *dst, size_t n)
 }
 
 /**
- * Sign bits of G (<= 8) hash functions for 8 * NV consecutive gathered
- * items, one item per lane: every lane runs the oracle's sequence
- * (block sums of acc += x * v, added to p = 0), so the bits match. Two
- * vectors of items (NV = 2) give the add chains twice the independent
- * work. Partial groups (@p Full false, NV = 1) read only the first
- * @p w lanes; the others read 0 and the caller drops their bits.
- * bits[n * G + g] holds function g's lane mask for vector n.
+ * One 256-wide k-block of G (<= 8) hash functions' projections for
+ * 8 * NV consecutive patch items, one item per lane: acc = +0, then
+ * acc += x * v with j ascending, into @p acc. Two vectors of items
+ * (NV = 2) give the add chains twice the independent work. Partial
+ * steps (@p Full false, NV = 1) load only lanes under @p mask; the
+ * others read 0 and the caller drops them.
  */
 template <size_t G, size_t NV, bool Full>
+inline void
+hashBlockAvx2(const float *xi, const uint32_t *off, size_t j0, size_t j1,
+              const float *v, size_t len, __m256i mask, __m256 (&acc)[NV][G])
+{
+#pragma GCC unroll 16
+    for (size_t k = 0; k < NV * G; ++k)
+        acc[k / G][k % G] = _mm256_setzero_ps();
+    for (size_t j = j0; j < j1; ++j) {
+        const float *xj = xi + off[j];
+        __m256 xv[NV];
+#pragma GCC unroll 2
+        for (size_t n = 0; n < NV; ++n)
+            xv[n] = Full ? _mm256_loadu_ps(xj + 8 * n)
+                         : _mm256_maskload_ps(xj + 8 * n, mask);
+#pragma GCC unroll 8
+        for (size_t g = 0; g < G; ++g) {
+            const __m256 vb = _mm256_broadcast_ss(v + g * len + j);
+#pragma GCC unroll 2
+            for (size_t n = 0; n < NV; ++n)
+                acc[n][g] =
+                    _mm256_add_ps(acc[n][g], _mm256_mul_ps(xv[n], vb));
+        }
+    }
+}
+
+/**
+ * Sign bits of G (<= 8) hash functions, f0 .. f0 + G - 1, for 8 * NV
+ * consecutive patch items, OR-ed into @p sig: lane l of sig[n] holds
+ * the bits of item 8n + l at bit positions (f0 + g) % 32. Every lane
+ * runs the oracle's sequence of k-block sums, except that the first
+ * block's sum is used as is where the oracle adds it to p = +0: the
+ * two differ only when that sum is -0, and a -0 in place of +0 leaves
+ * every later sum's value and the final p + bias > 0 test unchanged.
+ */
+/** Signature lanes of up to 16 items, 32 bits of each per vector. */
+struct SigLanes
+{
+    __m256i v[2];
+};
+
+template <size_t G, size_t NV, bool Full>
 void
-gatherGroupAvx2(const float *xi, const uint32_t *off, size_t len,
-                const float *v, const float *biases, size_t w,
-                uint32_t *bits)
+hashGroupAvx2(const float *xi, const uint32_t *off, size_t len,
+              const float *v, const float *biases, size_t f0, size_t w,
+              SigLanes *sig)
 {
     const __m256i mask = Full ? _mm256_setzero_si256() : firstLanes(w);
     __m256 p[NV][G];
-#pragma GCC unroll 16
-    for (size_t k = 0; k < NV * G; ++k)
-        p[k / G][k % G] = _mm256_setzero_ps();
-    for (size_t j0 = 0; j0 < len; j0 += kBlockK) {
-        const size_t j1 = std::min(len, j0 + kBlockK);
+    hashBlockAvx2<G, NV, Full>(xi, off, 0, std::min(len, kBlockK), v, len,
+                               mask, p);
+    for (size_t j0 = kBlockK; j0 < len; j0 += kBlockK) {
         __m256 acc[NV][G];
+        hashBlockAvx2<G, NV, Full>(xi, off, j0, std::min(len, j0 + kBlockK),
+                                   v, len, mask, acc);
 #pragma GCC unroll 16
         for (size_t k = 0; k < NV * G; ++k)
-            acc[k / G][k % G] = _mm256_setzero_ps();
-        for (size_t j = j0; j < j1; ++j) {
-            const float *xj = xi + off[j];
-            __m256 xv[NV];
-#pragma GCC unroll 2
-            for (size_t n = 0; n < NV; ++n)
-                xv[n] = Full ? _mm256_loadu_ps(xj + 8 * n)
-                             : _mm256_maskload_ps(xj + 8 * n, mask);
-#pragma GCC unroll 8
-            for (size_t g = 0; g < G; ++g) {
-                const __m256 vb = _mm256_broadcast_ss(v + g * len + j);
-#pragma GCC unroll 2
-                for (size_t n = 0; n < NV; ++n)
-                    acc[n][g] = _mm256_add_ps(acc[n][g],
-                                              _mm256_mul_ps(xv[n], vb));
-            }
-        }
-#pragma GCC unroll 16
-        for (size_t k = 0; k < NV * G; ++k)
-            p[k / G][k % G] =
-                _mm256_add_ps(p[k / G][k % G], acc[k / G][k % G]);
+            p[k / G][k % G] = _mm256_add_ps(p[k / G][k % G], acc[k / G][k % G]);
     }
     const __m256 zero = _mm256_setzero_ps();
-#pragma GCC unroll 16
-    for (size_t k = 0; k < NV * G; ++k)
-        bits[k] = static_cast<uint32_t>(_mm256_movemask_ps(_mm256_cmp_ps(
-            _mm256_add_ps(p[k / G][k % G],
-                          _mm256_broadcast_ss(biases + k % G)),
-            zero, _CMP_GT_OQ)));
+#pragma GCC unroll 8
+    for (size_t g = 0; g < G; ++g) {
+        const __m256 b = _mm256_broadcast_ss(biases + g);
+        const __m256i bit = _mm256_set1_epi32(
+            static_cast<int>(uint32_t{1} << ((f0 + g) % 32)));
+#pragma GCC unroll 2
+        for (size_t n = 0; n < NV; ++n) {
+            const __m256 gt =
+                _mm256_cmp_ps(_mm256_add_ps(p[n][g], b), zero, _CMP_GT_OQ);
+            sig->v[n] = _mm256_or_si256(
+                sig->v[n], _mm256_and_si256(_mm256_castps_si256(gt), bit));
+        }
+    }
 }
 
-using GatherGroupFn = void (*)(const float *, const uint32_t *, size_t,
-                               const float *, const float *, size_t,
-                               uint32_t *);
+using HashGroupFn = void (*)(const float *, const uint32_t *, size_t,
+                             const float *, const float *, size_t, size_t,
+                             SigLanes *);
 
-/** gatherGroupAvx2 for G = 1..8, indexed by G - 1. */
+/** hashGroupAvx2 for G = 1..8, indexed by G - 1. */
 template <size_t NV, bool Full, size_t... G>
-constexpr std::array<GatherGroupFn, sizeof...(G)>
-gatherGroupTable(std::index_sequence<G...>)
+constexpr std::array<HashGroupFn, sizeof...(G)>
+hashGroupTable(std::index_sequence<G...>)
 {
-    return {&gatherGroupAvx2<G + 1, NV, Full>...};
+    return {&hashGroupAvx2<G + 1, NV, Full>...};
 }
 
-constexpr auto kGroupPair = gatherGroupTable<2, true>(
+constexpr auto kGroupPair = hashGroupTable<2, true>(
     std::make_index_sequence<8>{});
-constexpr auto kGroupFull = gatherGroupTable<1, true>(
+constexpr auto kGroupFull = hashGroupTable<1, true>(
     std::make_index_sequence<8>{});
-constexpr auto kGroupPartial = gatherGroupTable<1, false>(
+constexpr auto kGroupPartial = hashGroupTable<1, false>(
     std::make_index_sequence<8>{});
 
-/** Transpose an 8x8 bit matrix held one row per byte: bit l of byte k
- *  moves to bit k of byte l. */
-inline uint64_t
-transpose8x8(uint64_t x)
-{
-    uint64_t t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAull;
-    x = x ^ t ^ (t << 7);
-    t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCull;
-    x = x ^ t ^ (t << 14);
-    t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ull;
-    return x ^ t ^ (t << 28);
-}
-
+/**
+ * The sweep visits each image as runs of flat positions t (relative to
+ * the run's first row, wrapping at the pitch), in steps of up to 16
+ * lanes. Flat mode makes one run of (rows - 1) * pitch + cols
+ * positions per image and drops the border lanes (c >= cols), so a
+ * 4 x 4 output is one 16-lane step and a 6-lane step instead of four
+ * masked 4-lane ones; row mode makes one run of cols positions per row
+ * and wastes nothing when cols fills whole vectors. The sweep takes
+ * whichever needs fewer 8-lane vectors. Every lane runs the oracle's
+ * per-item sequence either way, so the choice never changes a bit.
+ *
+ * Signatures are built in registers, 32 bits per lane (a second
+ * vector holds functions 32-63), and an 8-lane vector whose lanes are
+ * all real, consecutive items is widened to 64 bits and stored whole;
+ * other lanes are stored one by one.
+ */
 void
-gatherSignaturesAvx2(const float *x, const uint32_t *off, size_t len,
-                     const float *v, const float *biases, size_t h,
-                     size_t count, uint64_t *sigs)
+sliceSignaturesAvx2(const float *x, const PatchGrid &grid,
+                    const SliceHash *slices, size_t ns, uint64_t *sigs)
 {
-    for (size_t i = 0; i < count;) {
-        // 16 items at once while the add chains are few (h <= 4) and
-        // the run has them; else 8, the last group masked.
-        const size_t w = count - i >= 16 && h <= 4
-                             ? 16
-                             : std::min<size_t>(8, count - i);
-        uint64_t lane_sig[16] = {};
-        for (size_t f0 = 0; f0 < h; f0 += 8) {
-            const size_t g = std::min<size_t>(8, h - f0);
-            const GatherGroupFn fn = w == 16  ? kGroupPair[g - 1]
-                                     : w == 8 ? kGroupFull[g - 1]
-                                              : kGroupPartial[g - 1];
-            uint32_t bits[16];
-            fn(x + i, off, len, v + f0 * len, biases + f0, w, bits);
-            // Byte k of rows = function k's lane mask; transposed, byte
-            // l holds lane l's g signature bits.
-            for (size_t n = 0; n * 8 < w; ++n) {
-                uint64_t rows = 0;
-                for (size_t k = 0; k < g; ++k)
-                    rows |= static_cast<uint64_t>(bits[n * g + k]) << (8 * k);
-                const uint64_t lanes = transpose8x8(rows);
-                for (size_t l = 0; l < 8 && n * 8 + l < w; ++l)
-                    lane_sig[n * 8 + l] |= ((lanes >> (8 * l)) & 0xffu) << f0;
+    const size_t n = grid.count();
+    if (n == 0)
+        return;
+    size_t max_h = 0;
+    for (size_t s = 0; s < ns; ++s)
+        max_h = std::max(max_h, slices[s].h);
+    // 16 lanes per step while the add chains are few (h <= 4), else 8.
+    const size_t step = max_h <= 4 ? 16 : 8;
+    const size_t span = (grid.rows - 1) * grid.pitch + grid.cols;
+    const bool flat =
+        (span + 7) / 8 < grid.rows * ((grid.cols + 7) / 8);
+    const size_t runs = flat ? 1 : grid.rows;
+    const size_t run_len = flat ? span : grid.cols;
+
+    for (size_t b = 0; b < grid.images; ++b)
+        for (size_t q = 0; q < runs; ++q) {
+            const float *xr =
+                x + b * grid.imageStride + q * grid.pitch;
+            for (size_t t0 = 0; t0 < run_len;) {
+                const size_t w = run_len - t0 >= step
+                                     ? step
+                                     : std::min<size_t>(8, run_len - t0);
+                // Item of each lane (or -1 for a border or dropped lane),
+                // and whether each 8-lane vector is 8 consecutive items.
+                int32_t item[16];
+                size_t r = q + t0 / grid.pitch, c = t0 % grid.pitch;
+                for (size_t l = 0; l < 16; ++l) {
+                    item[l] = l < w && c < grid.cols
+                                  ? static_cast<int32_t>(
+                                        (b * grid.rows + r) * grid.cols + c)
+                                  : -1;
+                    if (++c == grid.pitch) {
+                        c = 0;
+                        ++r;
+                    }
+                }
+                bool whole[2];
+                for (size_t v = 0; v < 2; ++v)
+                    whole[v] = item[8 * v] >= 0 &&
+                               item[8 * v + 7] == item[8 * v] + 7;
+                for (size_t s = 0; s < ns; ++s) {
+                    const SliceHash &sh = slices[s];
+                    SigLanes lo = {{_mm256_setzero_si256(),
+                                    _mm256_setzero_si256()}};
+                    SigLanes hi = lo;
+                    for (size_t f0 = 0; f0 < sh.h; f0 += 8) {
+                        const size_t g = std::min<size_t>(8, sh.h - f0);
+                        const HashGroupFn fn =
+                            w == 16  ? kGroupPair[g - 1]
+                            : w == 8 ? kGroupFull[g - 1]
+                                     : kGroupPartial[g - 1];
+                        fn(xr + t0, sh.off, sh.len, sh.v + f0 * sh.len,
+                           sh.biases + f0, f0, w, f0 < 32 ? &lo : &hi);
+                    }
+                    uint64_t *out = sigs + s * n;
+                    for (size_t v = 0; v * 8 < w; ++v) {
+                        // 64-bit lanes 0, 1, 4, 5 and 2, 3, 6, 7.
+                        const __m256i a =
+                            _mm256_unpacklo_epi32(lo.v[v], hi.v[v]);
+                        const __m256i d =
+                            _mm256_unpackhi_epi32(lo.v[v], hi.v[v]);
+                        const __m256i first = _mm256_permute2x128_si256(a, d, 0x20);
+                        const __m256i second = _mm256_permute2x128_si256(a, d, 0x31);
+                        if (whole[v]) {
+                            uint64_t *dst = out + item[8 * v];
+                            _mm256_storeu_si256(
+                                reinterpret_cast<__m256i *>(dst), first);
+                            _mm256_storeu_si256(
+                                reinterpret_cast<__m256i *>(dst + 4), second);
+                            continue;
+                        }
+                        alignas(32) uint64_t lane[8];
+                        _mm256_store_si256(reinterpret_cast<__m256i *>(lane),
+                                           first);
+                        _mm256_store_si256(
+                            reinterpret_cast<__m256i *>(lane + 4), second);
+                        for (size_t l = 0; l < 8; ++l)
+                            if (item[8 * v + l] >= 0)
+                                out[item[8 * v + l]] = lane[l];
+                    }
+                }
+                t0 += w;
             }
         }
-        for (size_t l = 0; l < w; ++l)
-            sigs[i + l] = lane_sig[l];
-        i += w;
-    }
 }
 
 /** Consecutive-address taps of a gathered item: elements
@@ -927,7 +1011,7 @@ const Ops kAvx2Ops = {
     signProjectAvx2,
     allFiniteAvx2,
     reluAvx2,
-    gatherSignaturesAvx2,
+    sliceSignaturesAvx2,
     clusterSumsAvx2,
     maxPool2x2Avx2,
     transposeAvx2,

@@ -22,6 +22,9 @@
 namespace genreuse::simd {
 
 // Scalar oracles (simd.cc) this table has no NEON form of yet.
+void sliceSignaturesScalar(const float *x, const PatchGrid &grid,
+                           const SliceHash *slices, size_t ns,
+                           uint64_t *sigs);
 void clusterSumsScalar(const float *x, const uint32_t *itemOff,
                        const uint32_t *elemOff, size_t len,
                        const size_t *memberOffsets, const uint32_t *members,
@@ -224,32 +227,6 @@ reluNeon(const float *src, float *dst, size_t n)
         dst[i] = src[i] > 0.0f ? src[i] : 0.0f;
 }
 
-// Plain loop, like allFiniteNeon: the scalar oracle's sequence.
-void
-gatherSignaturesNeon(const float *x, const uint32_t *off, size_t len,
-                     const float *v, const float *biases, size_t h,
-                     size_t count, uint64_t *sigs)
-{
-    for (size_t i = 0; i < count; ++i) {
-        const float *xi = x + i;
-        uint64_t sig = 0;
-        for (size_t f = 0; f < h; ++f) {
-            const float *vf = v + f * len;
-            float p = 0.0f;
-            for (size_t j0 = 0; j0 < len; j0 += kBlockK) {
-                const size_t j1 = std::min(len, j0 + kBlockK);
-                float acc = 0.0f;
-                for (size_t j = j0; j < j1; ++j)
-                    acc += xi[off[j]] * vf[j];
-                p += acc;
-            }
-            if (p + biases[f] > 0.0f)
-                sig |= uint64_t{1} << f;
-        }
-        sigs[i] = sig;
-    }
-}
-
 const Ops kNeonOps = {
     "neon",
     Level::Neon,
@@ -260,7 +237,7 @@ const Ops kNeonOps = {
     signProjectNeon,
     allFiniteNeon,
     reluNeon,
-    gatherSignaturesNeon,
+    sliceSignaturesScalar,
     clusterSumsScalar,
     maxPool2x2Scalar,
     transposeScalar,

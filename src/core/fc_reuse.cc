@@ -82,6 +82,8 @@ fcReuseForwardInto(const Tensor &x, const Tensor &w, const Tensor &bias,
         items.elemStride = 1;
         OpCounts cluster_ops;
         clusterBySignatureInto(items, family, clusters, &cluster_ops);
+        audit::recordClustering(clusters.numItems(), clusters.numClusters(),
+                                clusters.sizes.data());
         if (!clusterTableValid(clusters)) {
             // Corrupted/degenerate segment table: exact product for
             // this row (full feature range, incl. trailing segment).

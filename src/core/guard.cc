@@ -372,6 +372,9 @@ GuardedReuseConvAlgo::errorBudget(GuardStreamState &st, const Tensor &w,
         // The §4.1 bound on the fit sample, normalized per sample row
         // so it can be rescaled to any runtime batch. K-scaling makes
         // it the rigorous Cauchy-Schwarz bound (accuracy_model.h).
+        // Once per stream and fit: on CifarNet this derivation is most
+        // of the first guarded forward (EXPERIMENTS.md).
+        profiler::ProfSpan span("guard.budget");
         AccuracyBound b =
             accuracyBound(fitSample_, w, inner_->pattern(), fitGeom_,
                           inner_->seed(), false);

@@ -99,6 +99,8 @@ horizontalReuseMultiplyInto(const Tensor &x, const Tensor &w,
         items.elemStride = din;
         OpCounts cluster_ops;
         clusterBySignatureInto(items, family, clusters, &cluster_ops);
+        audit::recordClustering(clusters.numItems(), clusters.numClusters(),
+                                clusters.sizes.data());
         if (!clusterTableValid(clusters)) {
             // Corrupted/degenerate table: never dereference it — run
             // the band exactly, like the short-band path above.

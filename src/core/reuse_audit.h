@@ -12,8 +12,9 @@
  *    model/runtime reconciliation is a number, not an assumption;
  *  - cluster-count and centroid-occupancy histograms (HdrHistogram,
  *    the same mergeable buckets the serve latencies use) fed by every
- *    clustering call — the observability ROADMAP item 3 (shared
- *    cluster-table cache) needs before it can be built honestly;
+ *    reuse kernel's clusterings — the observability ROADMAP item 3
+ *    (shared cluster-table cache) needs before it can be built
+ *    honestly;
  *  - reorder/copy traffic per layer (the transformation/recovery
  *    element moves the paper charges against reuse wins);
  *  - guard error-budget burn fraction (measured/budget) per layer;
@@ -201,8 +202,9 @@ recordKernel(Kernel kind, const ReuseStats &local)
     detail::recordKernelSlow(kind, local);
 }
 
-/** One clustering call: @p sizes is the per-cluster item count array
- *  (length @p clusters) feeding the occupancy histogram. */
+/** One reuse kernel's clustering of one slice, band or row: @p sizes
+ *  is the per-cluster item count array (length @p clusters) feeding
+ *  the occupancy histogram. */
 inline void
 recordClustering(size_t items, size_t clusters, const size_t *sizes)
 {

@@ -354,15 +354,15 @@ ReuseConvAlgo::multiplyNchw(const Tensor &x, const Tensor &w,
     const bool reorder_cols = !isIdentity(colPerm_);
     if (reorder_cols)
         chargeReorder(n * din, ledger);
-    GatheredItems items;
-    items.base = padded;
-    items.count = n;
-    items.length = din;
-    items.itemOffset = row_off;
-    items.elemOffset = col_off;
-    items.run = geom.outWidth();
+    const GatheredItems items{padded, n, din, row_off, col_off};
+    simd::PatchGrid grid;
+    grid.images = geom.batch;
+    grid.rows = geom.outHeight();
+    grid.cols = geom.outWidth();
+    grid.pitch = geom.inWidth + 2 * geom.pad;
+    grid.imageStride = paddedInputSize(geom) / geom.batch;
     sc.lastStats = ReuseStats{};
-    verticalReuseMultiplyInto(items, w, vslice_, families_, ledger,
+    verticalReuseMultiplyInto(items, grid, w, vslice_, families_, ledger,
                               &sc.lastStats, y,
                               reorder_cols ? colPerm_.data() : nullptr);
     finishForward(sc);

@@ -118,6 +118,7 @@ StreamContext::reset()
     }
     for (auto &scratch : clusterScratch_)
         scratch = ClusterResult{};
+    sliceClusters_ = SliceClusters{};
     convScratch_.clear();
     guardStates_.clear();
 }

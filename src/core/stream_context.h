@@ -20,8 +20,9 @@
  *  - arena(): the stream's own Arena (explicit contexts) or the
  *    thread-local default (id 0). Bind also redirects
  *    Arena::forCurrentStream() here, so kernels follow automatically.
- *  - clusterScratch(): the per-kernel ClusterResult scratch that was a
- *    `static thread_local` in the vertical/horizontal/fc kernels —
+ *  - clusterScratch()/sliceClusters(): the per-kernel cluster tables
+ *    that were a `static thread_local` in the vertical/horizontal/fc
+ *    kernels —
  *    owned by whichever thread last ran, a use-after-rebind bug the
  *    moment two streams shared a pooled worker.
  *  - convScratch(owner, fitEpoch): ReuseConvAlgo's former member
@@ -150,11 +151,10 @@ struct GuardStreamState
 class StreamContext
 {
   public:
-    /** clusterScratch() slots, one per reuse kernel. */
-    static constexpr size_t kVertical = 0;
-    static constexpr size_t kHorizontal = 1;
-    static constexpr size_t kFc = 2;
-    static constexpr size_t kNumClusterScratch = 3;
+    /** clusterScratch() slots, one per per-panel reuse kernel. */
+    static constexpr size_t kHorizontal = 0;
+    static constexpr size_t kFc = 1;
+    static constexpr size_t kNumClusterScratch = 2;
 
     /**
      * An explicit stream context owning its own arena (retention cap
@@ -175,8 +175,11 @@ class StreamContext
      *  calling thread's default (thread-default context). */
     Arena &arena();
 
-    /** Per-kernel ClusterResult scratch (slot = kVertical…kFc). */
+    /** Per-kernel ClusterResult scratch (slot = kHorizontal or kFc). */
     ClusterResult &clusterScratch(size_t slot);
+
+    /** The vertical kernel's per-layer table of slice clusterings. */
+    SliceClusters &sliceClusters() { return sliceClusters_; }
 
     /** This stream's scratch for @p owner, invalidated (caches reset,
      *  capacity kept) when @p fit_epoch differs from the last call. */
@@ -237,6 +240,7 @@ class StreamContext
     std::string name_;
     std::unique_ptr<Arena> ownedArena_; //!< null for the thread default
     ClusterResult clusterScratch_[kNumClusterScratch];
+    SliceClusters sliceClusters_;
     std::vector<std::unique_ptr<ConvStreamScratch>> convScratch_;
     std::vector<std::unique_ptr<GuardStreamState>> guardStates_;
 };

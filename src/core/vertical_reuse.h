@@ -45,7 +45,7 @@ struct VerticalSlicing
  *                 vectors of length blockRows * width(k)
  * @param ledger optional op accounting (clustering/GEMM/recovering);
  *               clustering counts are the actual ops reported by
- *               clusterBySignature, not an estimate
+ *               groupSlicesInto, not an estimate
  * @param stats optional reuse statistics output
  */
 Tensor verticalReuseMultiply(const Tensor &x, const Tensor &w,
@@ -79,12 +79,15 @@ void verticalReuseMultiplyInto(const Tensor &x, const Tensor &w,
 /**
  * verticalReuseMultiplyInto() over the im2col matrix read in place:
  * @p x views all Din columns, already in the pattern's order, as
- * offsets into a zero-padded input (see GatheredItems). Only 1-D neuron
- * vectors (blockRows 1). Every slice hashes, groups and averages its
- * patches the way the materialized form does, so outputs, statistics
- * and ledger counts are identical to running on the built matrix.
+ * offsets into a zero-padded input (see GatheredItems) whose stride-1
+ * patches @p grid lays out. Only 1-D neuron vectors (blockRows 1).
+ * Every slice is hashed in one sweep over the input, then all slices
+ * are grouped and averaged in one pass, the way the materialized form
+ * clusters them, so outputs, statistics and ledger counts are
+ * identical to running on the built matrix.
  */
-void verticalReuseMultiplyInto(const GatheredItems &x, const Tensor &w,
+void verticalReuseMultiplyInto(const GatheredItems &x,
+                               const simd::PatchGrid &grid, const Tensor &w,
                                const VerticalSlicing &slicing,
                                const std::vector<HashFamily> &families,
                                OpLedger *ledger, ReuseStats *stats,

@@ -106,28 +106,37 @@ HashFamily::signaturesInto(const StridedItems &items, uint64_t *sigs) const
         sigs[i] = signature(items, i);
 }
 
-void
-HashFamily::signaturesInto(const GatheredItems &items, uint64_t *sigs) const
-{
-    GENREUSE_REQUIRE(items.length == vectorLength(),
-                     "item length ", items.length,
-                     " != hash vector length ", vectorLength());
-    GENREUSE_REQUIRE(items.run >= 1, "gathered items need a run length");
-    const simd::Ops &ops = simd::ops();
-    for (size_t i = 0; i < items.count; i += items.run)
-        ops.gatherSignatures(items.base + items.itemOffset[i],
-                             items.elemOffset, items.length,
-                             vectors_.data(), biases_.data(),
-                             numFunctions(),
-                             std::min(items.run, items.count - i), sigs + i);
-}
-
 std::vector<uint64_t>
 HashFamily::signatures(const StridedItems &items) const
 {
     std::vector<uint64_t> sigs(items.count, 0);
     signaturesInto(items, sigs.data());
     return sigs;
+}
+
+void
+sliceSignaturesInto(const GatheredItems &items, const simd::PatchGrid &grid,
+                    size_t sliceLength,
+                    const std::vector<HashFamily> &families, uint64_t *sigs)
+{
+    GENREUSE_REQUIRE(grid.count() == items.count,
+                     "patch grid does not match the item count");
+    const size_t ns = families.size();
+    Arena &arena = Arena::forCurrentStream();
+    ArenaFrame frame(arena);
+    simd::SliceHash *slices = arena.allocSpan<simd::SliceHash>(ns);
+    for (size_t k = 0; k < ns; ++k) {
+        const HashFamily &f = families[k];
+        const size_t col0 = k * sliceLength;
+        GENREUSE_REQUIRE(col0 < items.length &&
+                             f.vectorLength() ==
+                                 std::min(sliceLength, items.length - col0),
+                         "slice ", k, " does not match its hash family");
+        slices[k] = {items.elemOffset + col0, f.vectorLength(),
+                     f.vectors().data(), f.biases().data(),
+                     f.numFunctions()};
+    }
+    simd::ops().sliceSignatures(items.base, grid, slices, ns, sigs);
 }
 
 } // namespace genreuse

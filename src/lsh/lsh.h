@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "tensor/matrix_view.h"
 #include "tensor/tensor.h"
 
@@ -63,14 +64,6 @@ class HashFamily
     void signaturesInto(const StridedItems &items, uint64_t *sigs) const;
 
     /**
-     * Signatures of gathered items (an im2col slice read in place),
-     * one dispatched gatherSignatures call per run of consecutive
-     * items. Bit-identical to signaturesInto() on the same items
-     * materialized as contiguous rows.
-     */
-    void signaturesInto(const GatheredItems &items, uint64_t *sigs) const;
-
-    /**
      * MAC count of hashing @p n items (n * H * L) — consumed by the MCU
      * cost model, which charges clustering as an extra X x Hash GEMM.
      */
@@ -85,6 +78,21 @@ class HashFamily
     Tensor vectorsT_; // L x H, cached once for the signature GEMM
     std::vector<float> biases_;
 };
+
+/**
+ * Signatures of every vertical slice of a layer's patches in one
+ * dispatched sweep (simd::Ops::sliceSignatures) over the padded input
+ * @p items reads in place: slice k is elements [k * sliceLength,
+ * min(length, (k + 1) * sliceLength)) of @p items, hashed by
+ * families[k], and item i's signature lands in sigs[k * items.count +
+ * i]. @p grid is the items' layout, item i at items.base +
+ * items.itemOffset[i]. Bit-identical to HashFamily::signaturesInto()
+ * on each slice materialized as contiguous rows.
+ */
+void sliceSignaturesInto(const GatheredItems &items,
+                         const simd::PatchGrid &grid, size_t sliceLength,
+                         const std::vector<HashFamily> &families,
+                         uint64_t *sigs);
 
 } // namespace genreuse
 

@@ -50,11 +50,6 @@ struct StridedItems
  * A column slice of the im2col matrix of a zero-padded NCHW input is
  * this view: items are output pixels, elements are (c, kh, kw) taps in
  * the reuse pattern's column order. The matrix is never built.
- *
- * Items come in runs of consecutive addresses: within each run of
- * `run` items starting at a multiple of `run`, itemOffset[i + t] =
- * itemOffset[i] + t. Adjacent output pixels of one output row are such
- * a run in a stride-1 convolution, and hashing vectorizes over them.
  */
 struct GatheredItems
 {
@@ -63,7 +58,6 @@ struct GatheredItems
     size_t length = 0;                    //!< elements per item
     const uint32_t *itemOffset = nullptr; //!< count entries
     const uint32_t *elemOffset = nullptr; //!< length entries
-    size_t run = 1; //!< consecutive-address items per run
 
     /** Element @p j of item @p i. */
     float

@@ -24,6 +24,7 @@
 #include "core/guard.h"
 #include "core/reuse_audit.h"
 #include "core/reuse_conv.h"
+#include "core/vertical_reuse.h"
 #include "data/synthetic.h"
 #include "models/models.h"
 #include "test_util.h"
@@ -209,6 +210,36 @@ TEST(Audit, KernelsClusteringsAndHistogramsAccumulate)
     ASSERT_EQ(snap.layers.size(), 1u);
     EXPECT_EQ(snap.occupancyHist.count, snap.layers[0].centroids);
     EXPECT_EQ(snap.occupancyHist.sum, snap.layers[0].vectors);
+}
+
+TEST(Audit, GuardedForwardRecordsOneClusteringPerSlice)
+{
+    // The guard's first forward derives its error budget, and that
+    // derivation clusters the fit sample slice by slice (accuracyBound).
+    // Only the reuse kernel's clusterings are runtime behavior, so one
+    // guarded forward records exactly one clustering per slice.
+    AuditSandbox sandbox;
+    ConvFixture f;
+    Tensor sample = f.sampleX();
+    ConvGeometry geom = f.conv.lastGeometry();
+
+    audit::setEnabled(true);
+    GuardConfig cfg;
+    cfg.marginFactor = 1e9; // in-distribution input stays on rung 0
+    const ReusePattern pattern = ReusePattern::conventional(geom, 8);
+    applyGuardedReusePattern(f.conv, pattern, sample, geom, cfg);
+    f.conv.forward(f.data.gatherImages({0, 1}), false);
+
+    const size_t slices =
+        VerticalSlicing::plan(geom.cols(), pattern.effectiveGranularity(geom),
+                              pattern.blockRows)
+            .numSlices;
+    audit::Snapshot snap = audit::snapshot();
+    EXPECT_EQ(snap.clusterings, slices);
+    EXPECT_EQ(snap.clusterCountHist.count, slices);
+    const audit::LayerAudit *l = findLayer(snap, "conv");
+    ASSERT_NE(l, nullptr);
+    EXPECT_EQ(snap.occupancyHist.count, l->centroids);
 }
 
 TEST(Audit, GuardBudgetBurnIsRecorded)

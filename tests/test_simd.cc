@@ -2,7 +2,7 @@
  * @file
  * Parity matrix for the runtime SIMD dispatch layer (common/simd.h):
  * every entry of the ops table — gemmF32, gemmInt8, addInto,
- * scaleInPlace, signProject, allFinite, relu, gatherSignatures,
+ * scaleInPlace, signProject, allFinite, relu, sliceSignatures,
  * clusterSums, maxPool2x2, transpose, recoverRows, transposeBias,
  * addChannelBias, batchNormEval — is compared against the scalar
  * oracle over ragged shapes (sizes that are not multiples of any
@@ -101,7 +101,7 @@ TEST(SimdDispatch, TablesAreComplete)
         EXPECT_NE(t.signProject, nullptr);
         EXPECT_NE(t.allFinite, nullptr);
         EXPECT_NE(t.relu, nullptr);
-        EXPECT_NE(t.gatherSignatures, nullptr);
+        EXPECT_NE(t.sliceSignatures, nullptr);
         EXPECT_NE(t.clusterSums, nullptr);
         EXPECT_NE(t.maxPool2x2, nullptr);
         EXPECT_NE(t.transpose, nullptr);
@@ -434,62 +434,145 @@ TEST(SimdParity, ReluMatchesOracleOnSpecialValues)
     }
 }
 
-TEST(SimdParity, GatherSignaturesMatchOracleAndGemmPath)
+/**
+ * Element offsets of a (c, kh, kw) im2col column over a padded input
+ * of @p pw-float rows and @p plane-float channel planes, in C1
+ * ([c][kh][kw]) or C2 ([kh][kw][c]) order.
+ */
+std::vector<uint32_t>
+patchColumns(size_t channels, size_t k, size_t pw, size_t plane, bool c2)
 {
-    // The fused conv pass hashes patches in place; its bits must be the
-    // ones the GEMM path computes on the materialized rows, including
-    // across the GEMM's 256-wide k-blocks.
+    std::vector<uint32_t> off;
+    auto tap = [&](size_t c, size_t kh, size_t kw) {
+        off.push_back(static_cast<uint32_t>(c * plane + kh * pw + kw));
+    };
+    if (c2) {
+        for (size_t kh = 0; kh < k; ++kh)
+            for (size_t kw = 0; kw < k; ++kw)
+                for (size_t c = 0; c < channels; ++c)
+                    tap(c, kh, kw);
+    } else {
+        for (size_t c = 0; c < channels; ++c)
+            for (size_t kh = 0; kh < k; ++kh)
+                for (size_t kw = 0; kw < k; ++kw)
+                    tap(c, kh, kw);
+    }
+    return off;
+}
+
+TEST(SimdParity, SliceSignaturesMatchOracleAndGemmPath)
+{
+    // The fused conv pass hashes every slice of a layer's patches in
+    // one sweep over the padded input; vector levels step along the
+    // flat padded-row index and drop border lanes. Every signature must
+    // be the scalar oracle's, and the oracle's must be the GEMM path's
+    // on the materialized rows, across slice lengths L (one crossing
+    // the GEMM's 256-wide k-block), hash counts H (a second 8-function
+    // group past 8), output widths 1-33 with pad 0-2 at batch 1 and 3,
+    // C1 and C2 column orders, and ±0, NaN, ±Inf and denormal inputs.
     const simd::Ops &scalar = simd::opsFor(simd::Level::Scalar);
     const simd::Ops &vec = simd::opsFor(simd::detect());
     Rng rng(22);
-    const size_t span = 700;
-    for (size_t len : {size_t(1), size_t(7), size_t(25), size_t(300),
-                       size_t(600)})
-        for (size_t h : {size_t(1), size_t(4), size_t(8), size_t(9),
-                         size_t(16)})
-            for (size_t count : {size_t(1), size_t(5), size_t(8), size_t(16),
-                                 size_t(19)}) {
-                std::vector<float> x = randomFloats(span + count, rng);
-                for (size_t i = 0; i < x.size(); i += 11)
-                    x[i] = i % 2 ? std::numeric_limits<float>::denorm_min()
-                                 : -0.0f;
-                std::vector<uint32_t> off(len);
-                for (uint32_t &o : off)
-                    o = static_cast<uint32_t>(rng.uniformInt(span));
-                const std::vector<float> v = randomFloats(h * len, rng);
+    struct SliceCase
+    {
+        size_t len, k, channels;
+    };
+    // din = k * k * channels, cut into slices of len (the last shorter).
+    const SliceCase kCases[] = {{1, 1, 3}, {9, 3, 4}, {25, 5, 3},
+                                {300, 5, 13}};
+    const float kSpecial[] = {std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              -0.0f, 0.0f,
+                              std::numeric_limits<float>::denorm_min()};
+    for (size_t ow = 1; ow <= 33; ++ow) {
+        const size_t pad = ow % 3, batch = ow % 2 ? 1 : 3;
+        const size_t oh = 1 + ow % 4;
+        for (const SliceCase &sc : kCases)
+            for (bool c2 : {false, true}) {
+                const size_t k = sc.k;
+                if (ow + k - 1 < 2 * pad + 1)
+                    continue; // no input column left inside the padding
+                const size_t pw = ow + k - 1, ph = oh + k - 1;
+                const size_t plane = ph * pw, image = sc.channels * plane;
+                // Zero borders around random interiors, then specials.
+                std::vector<float> x(batch * image, 0.0f);
+                for (size_t pl = 0; pl < batch * sc.channels; ++pl)
+                    for (size_t y = pad; y + pad < ph; ++y)
+                        for (size_t xx = pad; xx + pad < pw; ++xx)
+                            x[pl * plane + y * pw + xx] =
+                                static_cast<float>(rng.normal(0.0, 1.0));
+                const bool specials = ow % 4 == 1;
+                if (specials)
+                    for (size_t s = 0; s < std::size(kSpecial); ++s)
+                        x[rng.uniformInt(x.size())] = kSpecial[s];
+                const std::vector<uint32_t> off =
+                    patchColumns(sc.channels, k, pw, plane, c2);
+                const size_t din = off.size();
+                const size_t ns = (din + sc.len - 1) / sc.len;
 
-                // The GEMM path's projections of the materialized rows,
-                // S = X x V^T.
-                std::vector<float> rows(count * len), vt(len * h);
-                for (size_t i = 0; i < count; ++i)
-                    for (size_t j = 0; j < len; ++j)
-                        rows[i * len + j] = x[i + off[j]];
-                for (size_t f = 0; f < h; ++f)
-                    for (size_t j = 0; j < len; ++j)
-                        vt[j * h + f] = v[f * len + j];
-                std::vector<float> proj(count * h);
-                vec.gemmF32(rows.data(), vt.data(), proj.data(), count, h,
-                            len, len, h, h, false);
-                // Biases cancel one item's projection exactly, so any
-                // other summation order (a missing k-block split, FMA)
-                // flips that item's bits.
-                std::vector<float> biases(h);
-                for (size_t f = 0; f < h; ++f)
-                    biases[f] = -proj[(f % count) * h + f];
+                simd::PatchGrid grid;
+                grid.images = batch;
+                grid.rows = oh;
+                grid.cols = ow;
+                grid.pitch = pw;
+                grid.imageStride = image;
+                const size_t n = grid.count();
+                // The materialized rows, for the GEMM path.
+                std::vector<float> rows(n * din);
+                for (size_t b = 0, i = 0; b < batch; ++b)
+                    for (size_t r = 0; r < oh; ++r)
+                        for (size_t c = 0; c < ow; ++c, ++i)
+                            for (size_t j = 0; j < din; ++j)
+                                rows[i * din + j] =
+                                    x[b * image + r * pw + c + off[j]];
 
-                std::vector<uint64_t> s0(count, ~0ull), s1(count, ~0ull),
-                    s2(count);
-                scalar.gatherSignatures(x.data(), off.data(), len, v.data(),
-                                        biases.data(), h, count, s0.data());
-                vec.gatherSignatures(x.data(), off.data(), len, v.data(),
-                                     biases.data(), h, count, s1.data());
-                vec.signProject(proj.data(), biases.data(), count, h,
-                                s2.data());
-                ASSERT_EQ(s0, s2)
-                    << "len=" << len << " h=" << h << " count=" << count;
-                ASSERT_EQ(s1, s2)
-                    << "len=" << len << " h=" << h << " count=" << count;
+                for (size_t h : {size_t(1), size_t(4), size_t(8), size_t(9),
+                                 size_t(13)}) {
+                    std::vector<std::vector<float>> v(ns), biases(ns);
+                    std::vector<simd::SliceHash> slices(ns);
+                    std::vector<uint64_t> gemm(ns * n);
+                    for (size_t s = 0; s < ns; ++s) {
+                        const size_t col0 = s * sc.len;
+                        const size_t len = std::min(sc.len, din - col0);
+                        v[s] = randomFloats(h * len, rng);
+                        std::vector<float> vt(len * h), proj(n * h);
+                        for (size_t f = 0; f < h; ++f)
+                            for (size_t j = 0; j < len; ++j)
+                                vt[j * h + f] = v[s][f * len + j];
+                        vec.gemmF32(rows.data() + col0, vt.data(),
+                                    proj.data(), n, h, len, din, h, h,
+                                    false);
+                        // Biases cancel one item's projection exactly,
+                        // so any other summation order (a missing
+                        // k-block split, FMA) flips that item's bits.
+                        biases[s].resize(h);
+                        for (size_t f = 0; f < h; ++f)
+                            biases[s][f] = -proj[(f % n) * h + f];
+                        vec.signProject(proj.data(), biases[s].data(), n, h,
+                                        gemm.data() + s * n);
+                        slices[s] = {off.data() + col0, len, v[s].data(),
+                                     biases[s].data(), h};
+                    }
+                    std::vector<uint64_t> s0(ns * n, ~0ull),
+                        s1(ns * n, ~0ull);
+                    scalar.sliceSignatures(x.data(), grid, slices.data(), ns,
+                                           s0.data());
+                    vec.sliceSignatures(x.data(), grid, slices.data(), ns,
+                                        s1.data());
+                    const std::string what =
+                        "ow=" + std::to_string(ow) + " oh=" +
+                        std::to_string(oh) + " pad=" + std::to_string(pad) +
+                        " batch=" + std::to_string(batch) + " L=" +
+                        std::to_string(sc.len) + " c2=" +
+                        std::to_string(c2) + " h=" + std::to_string(h);
+                    ASSERT_EQ(s1, s0) << what;
+                    if (!specials) {
+                        ASSERT_EQ(s0, gemm) << what;
+                    }
+                }
             }
+    }
 }
 
 /** The pre-dispatch item-major centroid sums: zeroed rows, then each
