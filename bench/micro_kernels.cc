@@ -5,10 +5,11 @@
  * 1x1 conv eval forwards at SqueezeNet Fire shapes, guarded-reuse conv
  * eval forwards on the fused and the im2col path, the eval epilogue
  * kernels (row-outer recovery, BatchNorm), im2col reordering, LSH
- * signatures/clustering, and the vertical/horizontal reuse GEMMs
- * against the exact GEMM on redundant inputs. These are wall-clock
- * numbers of this host library (the MCU latencies in the table/figure
- * benches come from the cycle cost model instead).
+ * signatures/clustering, the accuracy bound's power iteration, and
+ * the vertical/horizontal reuse GEMMs against the exact GEMM on
+ * redundant inputs. These are wall-clock numbers of this host library
+ * (the MCU latencies in the table/figure benches come from the cycle
+ * cost model instead).
  */
 
 #include <benchmark/benchmark.h>
@@ -290,6 +291,40 @@ BM_SliceSignatures(benchmark::State &state)
                    ops.name);
 }
 BENCHMARK(BM_SliceSignatures)
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1});
+
+void
+BM_ScatterBound(benchmark::State &state)
+{
+    // The accuracy bound's Σ λmax m term of one panel of a CifarNet
+    // conv2-shaped im2col matrix (256 rows of 1600 columns, 16 noisy
+    // prototypes), H = 4. Args: shape (0 = a C1 vertical slice, 256
+    // rows of 25; 1 = a horizontal band, 1600 columns of 16) and
+    // kernel (0 = dispatched, 1 = scalar oracle).
+    const bool band = state.range(0) == 1;
+    const size_t rows = 256, cols = 1600;
+    Tensor x = redundantMatrix(rows, cols, 16, 7);
+    Rng rng(8);
+    for (size_t i = 0; i < x.size(); ++i)
+        x[i] += static_cast<float>(rng.normal(0.0, 0.1));
+    const StridedItems items = band
+                                   ? StridedItems{x.data(), cols, 16, 1, cols}
+                                   : StridedItems{x.data(), rows, 25, cols, 1};
+    const HashFamily family = HashFamily::random(4, items.length, rng);
+    const ClusterResult clusters = clusterBySignature(items, family);
+    const simd::Level restore = simd::activeLevel();
+    if (state.range(1) == 1)
+        (void)simd::setActiveLevel(simd::Level::Scalar);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(clusterScatterBound(items, clusters));
+    state.SetLabel(std::string(band ? "band" : "conv2.C1") + " " +
+                   simd::ops().name);
+    (void)simd::setActiveLevel(restore);
+}
+BENCHMARK(BM_ScatterBound)
     ->Args({0, 0})
     ->Args({0, 1})
     ->Args({1, 0})

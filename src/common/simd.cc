@@ -343,6 +343,41 @@ batchNormEvalScalar(const float *x, size_t batch, size_t channels,
     }
 }
 
+/** The accuracy bound's power iteration (clusterScatterBound): the
+ *  Ops::lambdaMax sequence, one member's dot at a time. */
+double
+lambdaMaxScalar(const float *dev, size_t m, size_t len, size_t maxIters,
+                double *v, double *av)
+{
+    if (m <= 1)
+        return 0.0;
+    double lambda = 0.0;
+    for (size_t iter = 0; iter < maxIters; ++iter) {
+        std::fill(av, av + len, 0.0);
+        for (size_t k = 0; k < m; ++k) {
+            const float *d = dev + k * len;
+            double dot = 0.0;
+            for (size_t j = 0; j < len; ++j)
+                dot += d[j] * v[j];
+            for (size_t j = 0; j < len; ++j)
+                av[j] += d[j] * dot;
+        }
+        for (size_t j = 0; j < len; ++j)
+            av[j] /= static_cast<double>(m);
+
+        double av_norm = 0.0;
+        for (size_t j = 0; j < len; ++j)
+            av_norm += av[j] * av[j];
+        av_norm = std::sqrt(av_norm);
+        if (av_norm < 1e-12)
+            return 0.0; // all points equal the centroid
+        lambda = av_norm;
+        for (size_t j = 0; j < len; ++j)
+            v[j] = av[j] / av_norm;
+    }
+    return lambda;
+}
+
 namespace {
 
 constexpr Ops kScalarOps = {
@@ -363,6 +398,7 @@ constexpr Ops kScalarOps = {
     transposeBiasScalar,
     addChannelBiasScalar,
     batchNormEvalScalar,
+    lambdaMaxScalar,
 };
 
 std::atomic<const Ops *> g_active{nullptr};

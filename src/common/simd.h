@@ -4,10 +4,10 @@
  * design: every hot inner loop (f32 GEMM, raw int8 GEMM, the LSH sign
  * pass and the patch-slice hashing sweep, gathered cluster sums, elementwise
  * add/scale, eval ReLU, BatchNorm and 2x2 max-pool, the non-finite
- * scan, the layout transpose, and the reuse recovery and bias
- * epilogues) is reached through a per-process ops
- * table selected once at startup from CPU capabilities, overridable
- * with `GENREUSE_SIMD=scalar|avx2|neon`.
+ * scan, the layout transpose, the reuse recovery and bias epilogues,
+ * and the accuracy bound's power iteration) is reached through a
+ * per-process ops table selected once at startup from CPU
+ * capabilities, overridable with `GENREUSE_SIMD=scalar|avx2|neon`.
  *
  * Contract (see DESIGN.md "Kernel dispatch & arena"):
  *  - The scalar table is the always-on correctness oracle. It is
@@ -184,6 +184,21 @@ struct Ops
                           size_t hw, const float *mean, const float *var,
                           float eps, const float *gamma, const float *beta,
                           float *y);
+
+    /**
+     * Largest eigenvalue of the covariance (1/m) Σ_k d_k d_k^T of the
+     * @p m rows d_k = dev + k * len (float deviations from a mean, in
+     * member order), by @p maxIters steps of power iteration from the
+     * unit vector @p v (len doubles, overwritten), with @p av (len
+     * doubles) as scratch. Each step, in double with every float
+     * widened exactly and no FMA: dot_k = 0 + d_k[0] v[0] + d_k[1] v[1]
+     * + ... (j ascending); av[j] = 0 + d_0[j] dot_0 + d_1[j] dot_1 +
+     * ... (k ascending); av[j] /= m; n = sqrt(0 + av[0]^2 + av[1]^2 +
+     * ...); return 0 when n < 1e-12; λ = n; v[j] = av[j] / n. Returns
+     * the last λ (0 after no step, or when m <= 1).
+     */
+    double (*lambdaMax)(const float *dev, size_t m, size_t len,
+                        size_t maxIters, double *v, double *av);
 };
 
 /** True when @p level is compiled in AND supported by this CPU. */

@@ -1001,6 +1001,153 @@ batchNormEvalAvx2(const float *x, size_t batch, size_t channels, size_t hw,
     }
 }
 
+// ---- the accuracy bound's power iteration ----------------------------
+//
+// Lanes run across members for the dots and across elements for av,
+// and every lane keeps the oracle's sequence: each member's dot is one
+// j-ascending chain of double adds, and each av[j] adds the members in
+// ascending order. Only which chains advance together changes.
+
+/** acc += widened @p col * @p vq: one j step of four rows' dots. */
+inline __m256d
+dotStep(__m256d acc, __m128 col, __m256d vq)
+{
+    return _mm256_add_pd(acc, _mm256_mul_pd(_mm256_cvtps_pd(col), vq));
+}
+
+/**
+ * The dots with @p v of rows r[0 .. 4) (and r[4 .. 8) with @p Two),
+ * lane i holding 0 + r[i][0] v[0] + r[i][1] v[1] + ..., j ascending.
+ * A 4 x 4 transpose turns four rows' floats j .. j+3 into four lane
+ * vectors. Written out, not looped, so the accumulators stay in
+ * registers.
+ */
+template <bool Two>
+void
+rowDotsAvx2(const float *const *r, size_t len, const double *v,
+            double *dots)
+{
+    __m256d lo = _mm256_setzero_pd(), hi = _mm256_setzero_pd();
+    size_t j = 0;
+    for (; j + 4 <= len; j += 4) {
+        __m128 a0 = _mm_loadu_ps(r[0] + j), a1 = _mm_loadu_ps(r[1] + j);
+        __m128 a2 = _mm_loadu_ps(r[2] + j), a3 = _mm_loadu_ps(r[3] + j);
+        _MM_TRANSPOSE4_PS(a0, a1, a2, a3);
+        const __m256d v0 = _mm256_broadcast_sd(v + j);
+        const __m256d v1 = _mm256_broadcast_sd(v + j + 1);
+        const __m256d v2 = _mm256_broadcast_sd(v + j + 2);
+        const __m256d v3 = _mm256_broadcast_sd(v + j + 3);
+        if constexpr (Two) {
+            __m128 b0 = _mm_loadu_ps(r[4] + j), b1 = _mm_loadu_ps(r[5] + j);
+            __m128 b2 = _mm_loadu_ps(r[6] + j), b3 = _mm_loadu_ps(r[7] + j);
+            _MM_TRANSPOSE4_PS(b0, b1, b2, b3);
+            lo = dotStep(lo, a0, v0);
+            hi = dotStep(hi, b0, v0);
+            lo = dotStep(lo, a1, v1);
+            hi = dotStep(hi, b1, v1);
+            lo = dotStep(lo, a2, v2);
+            hi = dotStep(hi, b2, v2);
+            lo = dotStep(lo, a3, v3);
+            hi = dotStep(hi, b3, v3);
+        } else {
+            lo = dotStep(lo, a0, v0);
+            lo = dotStep(lo, a1, v1);
+            lo = dotStep(lo, a2, v2);
+            lo = dotStep(lo, a3, v3);
+        }
+    }
+    for (; j < len; ++j) {
+        const __m256d vj = _mm256_broadcast_sd(v + j);
+        lo = dotStep(lo, _mm_set_ps(r[3][j], r[2][j], r[1][j], r[0][j]), vj);
+        if constexpr (Two)
+            hi = dotStep(hi, _mm_set_ps(r[7][j], r[6][j], r[5][j], r[4][j]),
+                         vj);
+    }
+    _mm256_storeu_pd(dots, lo);
+    if constexpr (Two)
+        _mm256_storeu_pd(dots + 4, hi);
+}
+
+/** av[j] += r[i][j] * dots[i] for i = 0 .. n-1 in order, eight
+ *  elements of av per step held in registers across the rows. */
+void
+accumulateRowsAvx2(const float *const *r, size_t n, const double *dots,
+                   size_t len, double *av)
+{
+    size_t j = 0;
+    for (; j + 8 <= len; j += 8) {
+        __m256d s0 = _mm256_loadu_pd(av + j);
+        __m256d s1 = _mm256_loadu_pd(av + j + 4);
+        for (size_t i = 0; i < n; ++i) {
+            const __m256d d = _mm256_broadcast_sd(dots + i);
+            s0 = _mm256_add_pd(
+                s0, _mm256_mul_pd(_mm256_cvtps_pd(_mm_loadu_ps(r[i] + j)),
+                                  d));
+            s1 = _mm256_add_pd(
+                s1, _mm256_mul_pd(
+                        _mm256_cvtps_pd(_mm_loadu_ps(r[i] + j + 4)), d));
+        }
+        _mm256_storeu_pd(av + j, s0);
+        _mm256_storeu_pd(av + j + 4, s1);
+    }
+    if (j + 4 <= len) {
+        __m256d s = _mm256_loadu_pd(av + j);
+        for (size_t i = 0; i < n; ++i)
+            s = _mm256_add_pd(
+                s, _mm256_mul_pd(_mm256_cvtps_pd(_mm_loadu_ps(r[i] + j)),
+                                 _mm256_broadcast_sd(dots + i)));
+        _mm256_storeu_pd(av + j, s);
+        j += 4;
+    }
+    for (; j < len; ++j) {
+        double s = av[j];
+        for (size_t i = 0; i < n; ++i)
+            s += r[i][j] * dots[i];
+        av[j] = s;
+    }
+}
+
+/** Members in blocks of up to eight: the block's dots, then its
+ *  contributions to av. Lanes past a short block repeat its last row
+ *  and are dropped. */
+double
+lambdaMaxAvx2(const float *dev, size_t m, size_t len, size_t maxIters,
+              double *v, double *av)
+{
+    if (m <= 1)
+        return 0.0;
+    double lambda = 0.0;
+    for (size_t iter = 0; iter < maxIters; ++iter) {
+        std::fill(av, av + len, 0.0);
+        for (size_t k = 0; k < m; k += 8) {
+            const size_t n = std::min<size_t>(8, m - k);
+            const float *r[8];
+            for (size_t i = 0; i < 8; ++i)
+                r[i] = dev + (k + std::min(i, n - 1)) * len;
+            alignas(32) double dots[8];
+            if (n <= 4)
+                rowDotsAvx2<false>(r, len, v, dots);
+            else
+                rowDotsAvx2<true>(r, len, v, dots);
+            accumulateRowsAvx2(r, n, dots, len, av);
+        }
+        const double md = static_cast<double>(m);
+        for (size_t j = 0; j < len; ++j)
+            av[j] /= md;
+
+        double av_norm = 0.0;
+        for (size_t j = 0; j < len; ++j)
+            av_norm += av[j] * av[j];
+        av_norm = std::sqrt(av_norm);
+        if (av_norm < 1e-12)
+            return 0.0;
+        lambda = av_norm;
+        for (size_t j = 0; j < len; ++j)
+            v[j] = av[j] / av_norm;
+    }
+    return lambda;
+}
+
 const Ops kAvx2Ops = {
     "avx2",
     Level::Avx2,
@@ -1019,6 +1166,7 @@ const Ops kAvx2Ops = {
     transposeBiasAvx2,
     addChannelBiasAvx2,
     batchNormEvalAvx2,
+    lambdaMaxAvx2,
 };
 
 } // namespace

@@ -42,6 +42,8 @@ void batchNormEvalScalar(const float *x, size_t batch, size_t channels,
                          size_t hw, const float *mean, const float *var,
                          float eps, const float *gamma, const float *beta,
                          float *y);
+double lambdaMaxScalar(const float *dev, size_t m, size_t len,
+                       size_t maxIters, double *v, double *av);
 
 namespace {
 
@@ -245,6 +247,7 @@ const Ops kNeonOps = {
     transposeBiasScalar,
     addChannelBiasScalar,
     batchNormEvalScalar,
+    lambdaMaxScalar,
 };
 
 } // namespace

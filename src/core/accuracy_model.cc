@@ -1,5 +1,7 @@
 #include "accuracy_model.h"
 
+#include <optional>
+
 #include "common/logging.h"
 #include "horizontal_reuse.h"
 #include "lsh/clustering.h"
@@ -25,12 +27,13 @@ weightSliceNormSq(const Tensor &w, size_t row0, size_t count)
     return s;
 }
 
+constexpr size_t kMaxProfileRows = 1024;
+
 } // namespace
 
 Tensor
 profileRowSubsample(const Tensor &x)
 {
-    constexpr size_t kMaxProfileRows = 1024;
     const size_t full = x.shape().rows();
     if (full <= kMaxProfileRows)
         return x;
@@ -58,25 +61,27 @@ accuracyBound(const Tensor &sample_default_x, const Tensor &w,
     // Lightweight profiling subsamples large row populations: the
     // cluster statistics (λmax, m_i proportions) converge long before
     // the full im2col matrix is needed, and the bound only has to rank
-    // patterns. Disabled when the caller wants the measured error.
-    Tensor sample_x =
-        measure ? sample_default_x : profileRowSubsample(sample_default_x);
-    const size_t n = sample_x.shape().rows();
+    // patterns. Disabled when the caller wants the measured error. A
+    // sample already small enough is read in place.
+    std::optional<Tensor> subsampled;
+    if (!measure && sample_default_x.shape().rows() > kMaxProfileRows)
+        subsampled = profileRowSubsample(sample_default_x);
+    const Tensor &sample_x = subsampled ? *subsampled : sample_default_x;
 
     // Reorder sample and weights per the pattern (rows of the sample
     // stay in place for the bound: cluster statistics are row-set
-    // properties).
+    // properties). The default column order is read in place.
     std::vector<uint32_t> col_perm = columnPermutation(pattern, geom);
-    Tensor xr = sample_x;
-    Tensor wr = w;
-    if (!isIdentity(col_perm)) {
-        std::vector<uint32_t> id(n);
-        for (size_t i = 0; i < n; ++i)
-            id[i] = static_cast<uint32_t>(i);
-        xr = reorderMatrix(sample_x, id, col_perm);
-        wr = permuteRows(w, col_perm);
-    }
-    return accuracyBoundReordered(xr, wr, pattern, geom, seed, measure);
+    if (isIdentity(col_perm))
+        return accuracyBoundReordered(sample_x, w, pattern, geom, seed,
+                                      measure);
+    const size_t n = sample_x.shape().rows();
+    std::vector<uint32_t> id(n);
+    for (size_t i = 0; i < n; ++i)
+        id[i] = static_cast<uint32_t>(i);
+    return accuracyBoundReordered(reorderMatrix(sample_x, id, col_perm),
+                                  permuteRows(w, col_perm), pattern, geom,
+                                  seed, measure);
 }
 
 AccuracyBound

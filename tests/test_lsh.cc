@@ -13,6 +13,7 @@
 
 #include "common/arena.h"
 #include "common/metrics.h"
+#include "common/simd.h"
 #include "lsh/clustering.h"
 #include "lsh/learned_hash.h"
 #include "lsh/lsh.h"
@@ -253,6 +254,34 @@ TEST(Clustering, ScatterBoundBitIdenticalWithoutCsr)
     const double fast = clusterScatterBound(rowsOf(m), with_csr);
     const double fallback = clusterScatterBound(rowsOf(m), without_csr);
     EXPECT_EQ(fast, fallback); // exact double equality, by design
+}
+
+TEST(Clustering, ScatterBoundSameAtEveryLevelOnStridedItems)
+{
+    // The power iteration is a dispatched kernel: the scalar oracle and
+    // the detected level must price a vertical slice (rows, element
+    // stride 1) and a horizontal band (columns, element stride = row
+    // width) to the same bits.
+    Rng rng(24);
+    const size_t rows = 300, cols = 40;
+    Tensor m = test::redundantRows(rows, cols, 6, rng, 0.2f);
+    StridedItems slice{m.data() + 5, rows, 25, cols, 1};
+    StridedItems band{m.data(), cols, 17, 1, cols};
+    const simd::Level restore = simd::activeLevel();
+    for (const StridedItems &items : {slice, band}) {
+        const HashFamily f = HashFamily::random(3, items.length, rng);
+        const ClusterResult res = clusterBySignature(items, f);
+        double bound[2];
+        const simd::Level levels[2] = {simd::Level::Scalar, simd::detect()};
+        for (size_t i = 0; i < 2; ++i) {
+            ASSERT_TRUE(simd::setActiveLevel(levels[i]).ok());
+            bound[i] = clusterScatterBound(items, res);
+        }
+        EXPECT_GT(bound[0], 0.0);
+        EXPECT_EQ(std::memcmp(&bound[0], &bound[1], sizeof(double)), 0)
+            << "element stride " << items.elemStride;
+    }
+    ASSERT_TRUE(simd::setActiveLevel(restore).ok());
 }
 
 TEST(Clustering, ReportsActualOpCounts)

@@ -8,9 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/simd.h"
 #include "core/accuracy_model.h"
 #include "core/latency_model.h"
 #include "data/synthetic.h"
+#include "models/models.h"
 #include "nn/conv2d.h"
 #include "tensor/im2col.h"
 #include "test_util.h"
@@ -147,6 +151,65 @@ TEST(AccuracyModel, ZeroForLosslessClustering)
     // Border rows differ (padding), so allow small scatter, but the
     // measured error must still respect the bound.
     EXPECT_LE(b.measuredError, b.bound * 1.001 + 1e-6);
+}
+
+TEST(AccuracyModel, BoundsPinnedOnCifarNetConv2Shape)
+{
+    // Every field the selector reads, over the column orders, block
+    // rows and the horizontal direction, on CifarNet's conv2 shape (64
+    // channels at 16x16, 5x5 taps: 256 rows of 1600 columns). The hash
+    // was taken from the power iteration before it became a dispatched
+    // kernel; every level must reproduce it.
+    Rng rng(9);
+    Network net = makeCifarNet(rng);
+    SyntheticConfig cfg;
+    cfg.numSamples = 1;
+    Tensor act = makeSyntheticCifar(cfg).gatherImages({0});
+    for (size_t l = 0; l < 3; ++l) // conv1, relu1, pool1
+        act = net.layer(l).forward(act, false);
+    const Conv2D &conv2 = *net.findConv("conv2");
+    const ConvGeometry geom = conv2.geometry(act.shape());
+    const Tensor sample = im2col(act, geom);
+    const Tensor w = conv2.weightMatrix();
+    ASSERT_EQ(sample.shape().rows(), 256u);
+    ASSERT_EQ(sample.shape().cols(), 1600u);
+
+    std::vector<ReusePattern> patterns;
+    for (ColumnOrder order : {ColumnOrder::ChannelMajor,
+                              ColumnOrder::PixelMajor, ColumnOrder::KwMajor})
+        for (size_t r : {size_t(1), size_t(2), size_t(0)}) {
+            ReusePattern p;
+            p.columnOrder = order;
+            p.numHashes = 4;
+            p.granularity = 25;
+            if (r == 0) {
+                p.direction = ReuseDirection::Horizontal;
+                p.granularity = 16;
+            } else {
+                p.blockRows = r;
+            }
+            patterns.push_back(p);
+        }
+    const simd::Level restore = simd::activeLevel();
+    for (simd::Level level : {simd::Level::Scalar, simd::detect()}) {
+        ASSERT_TRUE(simd::setActiveLevel(level).ok());
+        uint64_t h = 1469598103934665603ull;
+        for (const ReusePattern &p : patterns) {
+            ASSERT_TRUE(p.validFor(geom)) << p.describe();
+            const AccuracyBound b = accuracyBound(sample, w, p, geom, 7);
+            EXPECT_GT(b.bound, 0.0) << p.describe();
+            for (double d : {b.bound, b.scatterTerm, b.weightTerm}) {
+                unsigned char bytes[sizeof d];
+                std::memcpy(bytes, &d, sizeof d);
+                for (unsigned char c : bytes) {
+                    h ^= c;
+                    h *= 1099511628211ull;
+                }
+            }
+        }
+        EXPECT_EQ(h, 0x2ff89721623ea8e3ull) << simd::levelName(level);
+    }
+    ASSERT_TRUE(simd::setActiveLevel(restore).ok());
 }
 
 TEST(LatencyModel, ExactLedgerMatchesGeometry)

@@ -4,7 +4,7 @@
  * every entry of the ops table — gemmF32, gemmInt8, addInto,
  * scaleInPlace, signProject, allFinite, relu, sliceSignatures,
  * clusterSums, maxPool2x2, transpose, recoverRows, transposeBias,
- * addChannelBias, batchNormEval — is compared against the scalar
+ * addChannelBias, batchNormEval, lambdaMax — is compared against the scalar
  * oracle over ragged shapes (sizes that are not multiples of any
  * vector width), and the eval epilogue oracles against the element
  * loops they replaced, plus the dispatch plumbing itself: level
@@ -109,6 +109,7 @@ TEST(SimdDispatch, TablesAreComplete)
         EXPECT_NE(t.transposeBias, nullptr);
         EXPECT_NE(t.addChannelBias, nullptr);
         EXPECT_NE(t.batchNormEval, nullptr);
+        EXPECT_NE(t.lambdaMax, nullptr);
         if (!simd::available(lvl)) {
             // Unavailable levels fall back to the scalar oracle.
             EXPECT_EQ(t.level, simd::Level::Scalar);
@@ -942,6 +943,83 @@ TEST(SimdParity, BatchNormEvalMatchesElementLoop)
                     ASSERT_TRUE(sameBits(y1, ref))
                         << batch << "x" << channels << "x" << hw;
                 }
+}
+
+/** lambdaMax of @p dev (m x len) from a fixed unit start vector
+ *  under @p ops: the returned double and the final v, as bytes. */
+std::vector<unsigned char>
+lambdaMaxBytes(const simd::Ops &ops, const std::vector<float> &dev,
+               size_t m, size_t len, size_t iters)
+{
+    std::vector<double> v(len), av(len);
+    for (size_t j = 0; j < len; ++j)
+        v[j] = (1.0 + 0.01 * static_cast<double>(j % 7)) /
+               std::sqrt(static_cast<double>(len));
+    const double lambda =
+        ops.lambdaMax(dev.data(), m, len, iters, v.data(), av.data());
+    std::vector<unsigned char> out(sizeof lambda + len * sizeof(double));
+    std::memcpy(out.data(), &lambda, sizeof lambda);
+    std::memcpy(out.data() + sizeof lambda, v.data(), len * sizeof(double));
+    return out;
+}
+
+TEST(SimdParity, LambdaMaxMatchesOracle)
+{
+    // Member counts either side of the four- and eight-row blocks and
+    // lengths either side of the four- and eight-element steps; the
+    // result and the final iterate must match the oracle bit for bit.
+    const simd::Ops &scalar = simd::opsFor(simd::Level::Scalar);
+    const simd::Ops &vec = simd::opsFor(simd::detect());
+    Rng rng(41);
+    const size_t kMembers[] = {2, 3, 4, 5, 6, 7, 8, 9, 16, 161, 1024};
+    const size_t kLengths[] = {1, 3, 4, 5, 7, 8, 9, 25, 75, 800, 1600};
+    for (size_t m : kMembers)
+        for (size_t len : kLengths) {
+            const std::vector<float> dev = randomFloats(m * len, rng);
+            for (size_t iters : {size_t(0), size_t(1), size_t(30)})
+                ASSERT_EQ(lambdaMaxBytes(scalar, dev, m, len, iters),
+                          lambdaMaxBytes(vec, dev, m, len, iters))
+                    << "m=" << m << " len=" << len << " iters=" << iters;
+        }
+}
+
+TEST(SimdParity, LambdaMaxMatchesOracleOnSpecialValues)
+{
+    // All-zero deviations (every member equals the mean) take the
+    // early return; ±0, denormals, ±Inf and ±max in the deviations
+    // produce NaNs mid-iteration, all of one payload. A single NaN
+    // input keeps every NaN operand of one payload too (simd.h's
+    // exception needs two different NaN operands).
+    const simd::Ops &scalar = simd::opsFor(simd::Level::Scalar);
+    const simd::Ops &vec = simd::opsFor(simd::detect());
+    Rng rng(43);
+    for (size_t m : {size_t(2), size_t(5), size_t(9), size_t(16)})
+        for (size_t len : {size_t(1), size_t(7), size_t(9), size_t(25)})
+            for (size_t iters : {size_t(0), size_t(1), size_t(30)}) {
+                const std::string what = "m=" + std::to_string(m) +
+                                         " len=" + std::to_string(len) +
+                                         " iters=" + std::to_string(iters);
+                const std::vector<float> zeros(m * len, 0.0f);
+                const auto z = lambdaMaxBytes(vec, zeros, m, len, iters);
+                ASSERT_EQ(lambdaMaxBytes(scalar, zeros, m, len, iters), z)
+                    << what;
+                double lambda = -1.0;
+                std::memcpy(&lambda, z.data(), sizeof lambda);
+                EXPECT_EQ(lambda, 0.0) << what;
+
+                const std::vector<float> special =
+                    specialFloats(m * len, rng, false);
+                ASSERT_EQ(lambdaMaxBytes(scalar, special, m, len, iters),
+                          lambdaMaxBytes(vec, special, m, len, iters))
+                    << what;
+
+                std::vector<float> one_nan = randomFloats(m * len, rng);
+                one_nan[rng.uniformInt(m * len)] =
+                    std::numeric_limits<float>::quiet_NaN();
+                ASSERT_EQ(lambdaMaxBytes(scalar, one_nan, m, len, iters),
+                          lambdaMaxBytes(vec, one_nan, m, len, iters))
+                    << what;
+            }
 }
 
 TEST(SimdParity, EvalMaxPoolMatchesTrainingScanOnSpecialValues)
